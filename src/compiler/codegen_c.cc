@@ -49,9 +49,6 @@ typedef struct RdbHostApi {
   void (*foreach_matching)(void* ctx, int32_t view_id, int32_t index_id,
                            const RdbVal* subkey, uint32_t n, RdbLoopFn fn,
                            void* env);
-  void (*emit)(void* ctx, const RdbVal* key, uint32_t n, RdbNum value);
-  void (*add)(void* ctx, int32_t view_id, const RdbVal* key, uint32_t n,
-              RdbNum delta);
   void (*fail)(void* ctx, const char* msg);
   void (*add_span)(void* ctx, int32_t view_id, const RdbVal* keys,
                    const RdbNum* deltas, uint32_t count, uint32_t arity);
@@ -134,7 +131,7 @@ static int rdb_le(RdbNum a, RdbNum b) {
 constexpr const char kTail[] = R"(
 /* Loader handshake: layout checksum over this translation unit's own
  * struct copies; must equal runtime::RdbAbiLayout() on the host side. */
-const int32_t rdb_abi_version = 3;
+const int32_t rdb_abi_version = 4;
 const uint64_t rdb_abi_layout =
     (uint64_t)sizeof(RdbVal) * 1000000u +
     (uint64_t)offsetof(RdbVal, kind) * 10000u +
@@ -145,15 +142,15 @@ const uint64_t rdb_abi_layout =
 // emitted: slice enumeration and first-touch initialization read
 // executor-private state (the slice sets and the base database) that the
 // C ABI deliberately does not expose.
-bool Emittable(const lw::StmtProgram& sp) {
-  if (sp.target_lazy) return false;
+bool TouchesLazyDomain(const lw::StmtProgram& sp) {
+  if (sp.target_lazy) return true;
   for (const lw::LoopProgram& lp : sp.loops) {
-    if (lp.slice_domain || lp.lazy_driver) return false;
+    if (lp.slice_domain || lp.lazy_driver) return true;
   }
   for (const lw::ProbePlan& p : sp.probes) {
-    if (p.lazy) return false;
+    if (p.lazy) return true;
   }
-  return true;
+  return false;
 }
 
 std::string CComment(std::string s) {
@@ -208,11 +205,6 @@ std::string CValInit(const Value& v) {
   return "{0, 0.0, 0, 0, 0}";
 }
 
-// Emits the full function set of one lowered statement: a shared constant
-// pool and environment struct, then one {body, loop callbacks, entry}
-// chain per rhs variant. The structure mirrors the interpreter exactly —
-// RunLoops becomes the callback chain, EvalRhs becomes the straight-line
-// body — so results (including evaluation order over doubles) agree.
 // Static cost model for one rhs variant: a native statement pays an
 // ABI-crossing conversion per enumerated loop entry (key values
 // marshalled to RdbVal, callback through a function pointer), and buys
@@ -223,11 +215,11 @@ std::string CValInit(const Value& v) {
 // it natively LOSES ~7%. Loop-less statements (pure arithmetic, no
 // per-entry tax) and loops with real rhs work win.
 //
-// Since PR 6 the verdict is a *preference*, not an emission gate: every
-// emittable variant is compiled, and the runtime's profile-guided
-// selection (runtime/compiled_executor.h) starts from this preference,
-// then alternates backends during a warmup window and locks in whichever
-// one measures faster on the live workload.
+// The verdict is a *preference*, not an emission gate: every emittable
+// variant is compiled, and the runtime's profile-guided window selection
+// (runtime/compiled_executor.h) alternates backends during warmup and
+// locks in whichever one measures faster on the live workload; only
+// -DRINGDB_NO_METRICS builds, which have no clock, lock the preference.
 bool WorthNative(const lw::StmtProgram& sp, const lw::RhsProgram& rhs) {
   return sp.loops.empty() || rhs.ops.size() > 1;
 }
@@ -240,8 +232,10 @@ constexpr uint32_t kWindowChunk = 128;
 
 // True when the statement's rhs cannot read its own target view (no loop
 // drives it, no probe looks it up): emissions may then apply in place
-// (api->add) instead of through the host's deferred buffer, because no
-// later rhs evaluation of this statement run can observe them.
+// through api->add_span, because no later rhs evaluation in the window
+// can observe them. Only such direct statements get a window entry
+// point; the others (self-loops, whose firings must each see the
+// pre-statement state) stay on the interpreter's emission buffer.
 bool CanEmitDirect(const lw::StmtProgram& sp) {
   for (const lw::LoopProgram& lp : sp.loops) {
     if (lp.view_id == sp.target_view) return false;
@@ -252,12 +246,19 @@ bool CanEmitDirect(const lw::StmtProgram& sp) {
   return true;
 }
 
+// Emits the window entry points of one lowered direct statement: a
+// shared constant pool and environment struct, then one {body, loop
+// callbacks, entry} chain per rhs variant. The structure mirrors the
+// interpreter exactly — RunLoops becomes the callback chain, EvalRhs
+// becomes the straight-line body — so results (including evaluation
+// order over doubles) agree.
 class StmtEmitter {
  public:
   StmtEmitter(const lw::StmtProgram& sp, std::string base,
               std::ostringstream* out)
-      : sp_(sp), direct_(CanEmitDirect(sp)), base_(std::move(base)),
-        out_(*out) {}
+      : sp_(sp), base_(std::move(base)), out_(*out) {
+    RINGDB_CHECK(CanEmitDirect(sp));
+  }
 
   void EmitShared() {
     out_ << "/* " << CComment(sp_.ToString()) << " */\n";
@@ -268,6 +269,9 @@ class StmtEmitter {
       }
       out_ << "};\n";
     }
+    // Loop-less windows keep their state in locals; only a loop nest
+    // threads an environment through its callbacks.
+    if (sp_.loops.empty()) return;
     out_ << "typedef struct {\n"
          << "  const RdbHostApi* api;\n"
          << "  void* ctx;\n"
@@ -276,33 +280,15 @@ class StmtEmitter {
          << "  RdbVal f[" << std::max<int>(sp_.frame_size, 1) << "];\n"
          << "  RdbNum lv[" << std::max<size_t>(sp_.loops.size(), 1)
          << "];\n"
-         << "  RdbVal* kb;\n"  // window emission chunk (window variants
-         << "  RdbNum* vb;\n"  // only; per-firing entry points leave
-         << "  uint32_t nb;\n"  // these unset)
+         << "  RdbVal* kb;\n"  // emission chunk of the loop-ful window
+         << "  RdbNum* vb;\n"
+         << "  uint32_t nb;\n"
          << "} " << base_ << "_env;\n";
   }
 
-  // One rhs variant: `suffix` is "" (plain) or "_g" (grouped).
-  void EmitVariant(const std::string& suffix, const lw::RhsProgram& rhs) {
-    const std::string name = base_ + suffix;
-    EmitBody(name, rhs);
-    for (size_t i = sp_.loops.size(); i-- > 0;) {
-      EmitLoopCallback(name, i);
-    }
-    out_ << "void " << name
-         << "(const RdbHostApi* api, void* ctx, const RdbVal* p, "
-            "RdbNum scale) {\n"
-         << "  " << base_ << "_env e;\n"
-         << "  e.api = api;\n  e.ctx = ctx;\n  e.p = p;\n"
-         << "  e.sc = scale;\n"
-         << "  " << base_ << "_env* E = &e;\n";
-    EmitNext(name, 0, "  ");
-    out_ << "}\n\n";
-  }
-
-  // The columnar-window entry point `<base><wsuffix>` (RdbColStmtFn) for
-  // one rhs variant: all window firings in one native call, params
-  // indexed straight out of the mirrored columns. Loop-less statements
+  // The window entry point `<base><wsuffix>` (RdbColStmtFn) for one rhs
+  // variant: all window firings in one native call, params indexed
+  // straight out of the mirrored columns. Loop-less statements
   // inline the rhs over restrict-qualified column pointers — a straight-
   // line loop nest cc -O2 can vectorize. Statements with loops get their
   // own callback chain whose body pushes emissions into the window's
@@ -312,11 +298,8 @@ class StmtEmitter {
   // adds past firing boundaries is sound exactly because windows are
   // only emitted for direct-add statements — the rhs provably never
   // reads the target view, so no firing in the window can observe
-  // another's emissions early or late. (Emit-buffered self-loop
-  // statements need a host flush per firing, hence no window.)
-  void EmitWindowVariant(const std::string& wsuffix,
-                         const lw::RhsProgram& rhs) {
-    RINGDB_CHECK(direct_);
+  // another's emissions early or late.
+  void EmitWindow(const std::string& wsuffix, const lw::RhsProgram& rhs) {
     const std::string name = base_ + wsuffix;
     if (sp_.loops.empty()) {
       EmitWindowLoopless(name, rhs);
@@ -447,8 +430,8 @@ class StmtEmitter {
   }
 
   // Unrolls one postfix rhs into straight-line C at `indent`; returns the
-  // final value as a CV. Shared by the per-firing body functions and the
-  // loop-less columnar window (which runs it in column mode inside the
+  // final value as a CV. Shared by the loop-ful window's body function
+  // and the loop-less window (which runs it in column mode inside the
   // row loop).
   CV EmitRhs(const lw::RhsProgram& rhs, const std::string& indent) {
     std::vector<CV> stk;
@@ -598,10 +581,10 @@ class StmtEmitter {
          << "}\n\n";
   }
 
-  // The body of a loop-ful window variant: the same straight-line rhs as
-  // the per-firing body (same evaluation order, so results agree to the
-  // last double bit), but the emission folds the scale in and pushes
-  // into the env's window chunk — the entry point flushes the tail.
+  // The body of a loop-ful window variant: the straight-line rhs in the
+  // interpreter's evaluation order (so results agree to the last double
+  // bit); the emission folds the scale in and pushes into the env's
+  // window chunk — the entry point flushes the tail.
   void EmitWindowBody(const std::string& name, const lw::RhsProgram& rhs) {
     const uint32_t ks = sp_.target_key.size;
     out_ << "static void " << name << "_body(" << base_ << "_env* E) {\n";
@@ -627,33 +610,7 @@ class StmtEmitter {
          << "}\n";
   }
 
-  void EmitBody(const std::string& name, const lw::RhsProgram& rhs) {
-    out_ << "static void " << name << "_body(" << base_ << "_env* E) {\n";
-    tmp_ = 0;
-    const CV result = EmitRhs(rhs, "  ");
-    out_ << "  RdbNum v = " << AsNum(result) << ";\n"
-         << "  if (rdb_is_zero(v)) return;\n";
-    const std::string key =
-        sp_.target_key.size > 0 ? "tk" : "0";
-    if (sp_.target_key.size > 0) {
-      EmitKeyBuffer("tk", sp_.target_key, "  ");
-    }
-    if (direct_) {
-      // Rhs never reads the target: fold the scale in and apply now.
-      out_ << "  if (!rdb_is_one(E->sc)) v = rdb_mul(v, E->sc);\n"
-           << "  E->api->add(E->ctx, " << sp_.target_view << ", " << key
-           << ", " << sp_.target_key.size << ", v);\n";
-    } else {
-      // Self-loop statement: buffer; the host scales and applies after
-      // the loops finish, preserving pre-statement reads.
-      out_ << "  E->api->emit(E->ctx, " << key << ", "
-           << sp_.target_key.size << ", v);\n";
-    }
-    out_ << "}\n";
-  }
-
   const lw::StmtProgram& sp_;
-  const bool direct_;
   const std::string base_;
   std::ostringstream& out_;
   bool col_ = false;  // see Ref(): loop-less window emission mode
@@ -687,28 +644,27 @@ CodegenModule GenerateModule(const TriggerProgram& program) {
     for (size_t s = 0; s < stmts.size(); ++s) {
       const lw::StmtProgram& sp = stmts[s];
       CodegenStmt cs;
-      if (!Emittable(sp)) {
-        out << "/* stmt " << s << ": interpreter fallback (lazy domain): "
-            << CComment(sp.ToString()) << " */\n";
+      if (TouchesLazyDomain(sp) || !CanEmitDirect(sp)) {
+        out << "/* stmt " << s << ": interpreter fallback ("
+            << (TouchesLazyDomain(sp) ? "lazy domain"
+                                      : "rhs reads its own target")
+            << "): " << CComment(sp.ToString()) << " */\n";
         mod.stmts[t].push_back(cs);
         continue;
       }
       cs.emitted = true;
-      cs.fn = "rdb_t" + std::to_string(t) + "_s" + std::to_string(s);
+      const std::string base =
+          "rdb_t" + std::to_string(t) + "_s" + std::to_string(s);
+      cs.fn = base + "_w";
       cs.prefer_native = WorthNative(sp, sp.rhs);
       if (!cs.prefer_native) {
         out << "/* stmt " << s
             << ": static cost model prefers interpreter "
                "(profile-guided selection decides at run time) */\n";
       }
-      StmtEmitter emitter(sp, cs.fn, &out);
+      StmtEmitter emitter(sp, base, &out);
       emitter.EmitShared();
-      emitter.EmitVariant("", sp.rhs);
-      const bool direct = CanEmitDirect(sp);
-      if (direct) {
-        cs.win_fn = cs.fn + "_w";
-        emitter.EmitWindowVariant("_w", sp.rhs);
-      }
+      emitter.EmitWindow("_w", sp.rhs);
       if (sp.groupable) {
         cs.grouped_prefer_native = WorthNative(sp, sp.grouped_rhs);
         if (!cs.grouped_prefer_native) {
@@ -716,16 +672,11 @@ CodegenModule GenerateModule(const TriggerProgram& program) {
               << ": static cost model prefers interpreter */\n";
         }
         if (sp.foldable_params.empty()) {
-          // grouped_rhs shares the plain ops; reuse the function(s).
+          // grouped_rhs shares the plain ops; reuse the window.
           cs.grouped_fn = cs.fn;
-          cs.grouped_win_fn = cs.win_fn;
         } else {
-          cs.grouped_fn = cs.fn + "_g";
-          emitter.EmitVariant("_g", sp.grouped_rhs);
-          if (direct) {
-            cs.grouped_win_fn = cs.fn + "_gw";
-            emitter.EmitWindowVariant("_gw", sp.grouped_rhs);
-          }
+          cs.grouped_fn = base + "_gw";
+          emitter.EmitWindow("_gw", sp.grouped_rhs);
         }
       }
       ++mod.emitted_statements;

@@ -41,24 +41,18 @@ ShardedExecutor::ShardedExecutor(const compiler::TriggerProgram& program,
     prog = &augmented;
   }
   // The native module (one emit + compile + dlopen) is shared by every
-  // shard, like the lowered program; failure to build one is not an
-  // error, it selects the interpreter (graceful fallback for hosts
-  // without a C compiler and for all-lazy programs).
-  std::shared_ptr<const runtime::NativeModule> module;
+  // shard, like the lowered program. Only its compile starts here; the
+  // shards run as interpreters until ResolveNative attaches it, which
+  // happens before the first window. Failure to build one is not an
+  // error, it keeps the interpreter (graceful fallback for hosts without
+  // a C compiler and for programs with nothing to emit).
   if (backend == runtime::Backend::kCompile) {
-    auto built = runtime::NativeModule::Build(*prog);
-    if (built.ok()) {
-      module = *std::move(built);
-      native_enabled_ = true;
-    } else {
-      native_status_ = built.status();
-    }
+    native_build_ = runtime::NativeModule::Launch(*prog);
   }
   shards_.reserve(effective);
   for (size_t i = 0; i < effective; ++i) {
-    if (module != nullptr) {
-      shards_.push_back(
-          std::make_unique<runtime::CompiledExecutor>(*prog, module));
+    if (native_build_ != nullptr) {
+      shards_.push_back(std::make_unique<runtime::CompiledExecutor>(*prog));
     } else {
       shards_.push_back(std::make_unique<runtime::Executor>(*prog));
     }
@@ -76,6 +70,23 @@ ShardedExecutor::ShardedExecutor(const compiler::TriggerProgram& program,
   for (size_t i = 1; i < effective; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
+}
+
+void ShardedExecutor::ResolveNative() const {
+  std::call_once(native_once_, [this] {
+    if (native_build_ == nullptr) return;
+    auto module = native_build_->Wait();
+    native_build_stats_ = native_build_->stats();
+    native_build_.reset();  // reaped; the module keeps what it needs
+    if (!module.ok()) {
+      native_status_ = module.status();
+      return;
+    }
+    for (const auto& shard : shards_) {
+      static_cast<runtime::CompiledExecutor&>(*shard).AttachModule(*module);
+    }
+    native_enabled_ = true;
+  });
 }
 
 ShardedExecutor::~ShardedExecutor() {
@@ -272,6 +283,7 @@ void ShardedExecutor::WorkerLoop(size_t shard_idx) {
 
 Status ShardedExecutor::ApplyBatch(const UpdateBatch& batch) {
   if (batch.empty()) return Status::Ok();
+  ResolveNative();
   const size_t n = shards_.size();
   ++mutation_epoch_;
   std::fill(shard_work_used_.begin(), shard_work_used_.end(), size_t{0});

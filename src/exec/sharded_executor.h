@@ -79,10 +79,11 @@ class ShardedExecutor {
   // Builds `num_shards` executors from copies of the program. The
   // effective shard count drops to 1 when num_shards <= 1 or the scheme
   // is invalid; worker threads are only spawned for > 1 effective shards.
-  // With backend == kCompile the program's native module is built once
-  // (emit C, cc -shared, dlopen — see runtime/native_module.h) and shared
-  // by every shard; when that fails (no host compiler, nothing emittable)
-  // the shards are plain interpreters and native_status() says why.
+  // With backend == kCompile the program's native module build is
+  // launched here (emit C, start cc — see runtime/native_module.h) and
+  // resolved by ResolveNative (reap cc, dlopen, attach to every shard);
+  // when the build fails (no host compiler, nothing emittable) the shards
+  // stay interpreters and native_status() says why.
   ShardedExecutor(const compiler::TriggerProgram& program,
                   PartitionScheme scheme, size_t num_shards,
                   runtime::Backend backend = runtime::Backend::kInterpret);
@@ -94,16 +95,36 @@ class ShardedExecutor {
   size_t num_shards() const { return shards_.size(); }
   const PartitionScheme& scheme() const { return scheme_; }
 
+  // Waits for the launched native build (if any) and attaches the module
+  // to every shard, or records why it failed. Idempotent and thread-safe;
+  // runs implicitly before the first window and before any of the
+  // backend queries below, so the backend is fixed before any state
+  // exists. serve::QueryService calls it up front in Start() so every
+  // registered query's compile overlaps the others'.
+  void ResolveNative() const;
+
   // True when the shards dispatch (at least some) statements into a
   // dlopen'd native module rather than the bytecode interpreter.
-  bool native_enabled() const { return native_enabled_; }
+  bool native_enabled() const {
+    ResolveNative();
+    return native_enabled_;
+  }
   // Why the compiled backend is off (Ok while native_enabled() or when it
   // was never requested).
-  const Status& native_status() const { return native_status_; }
+  const Status& native_status() const {
+    ResolveNative();
+    return native_status_;
+  }
+  // The native build's export (zero when none was launched).
+  const runtime::NativeBuildStats& native_build_stats() const {
+    ResolveNative();
+    return native_build_stats_;
+  }
 
   // Single-tuple path: a batch of one, routed and applied inline on the
   // owning shard (no worker handoff, no morsels).
   Status Apply(const ring::Update& update) {
+    ResolveNative();
     ++mutation_epoch_;
     return shards_[ShardOf(update.relation, update.values)]->ApplyDelta(
         update.relation, update.values, update.SignedUnit());
@@ -204,6 +225,7 @@ class ShardedExecutor {
   // see statistically identical slices, so one shard is representative).
   void CollectDispatch(
       std::vector<runtime::Executor::StmtDispatch>* out) const {
+    ResolveNative();
     shards_[0]->CollectDispatch(out);
   }
   void ResetStats();
@@ -299,8 +321,14 @@ class ShardedExecutor {
 
   PartitionScheme scheme_;
   std::vector<std::unique_ptr<runtime::Executor>> shards_;
-  bool native_enabled_ = false;
-  Status native_status_ = Status::Ok();
+  // Native build state, settled once by ResolveNative (mutable: resolving
+  // is logically const — the backend is fixed by construction, only its
+  // arrival is deferred).
+  mutable std::once_flag native_once_;
+  mutable std::unique_ptr<runtime::NativeModule::Pending> native_build_;
+  mutable bool native_enabled_ = false;
+  mutable Status native_status_ = Status::Ok();
+  mutable runtime::NativeBuildStats native_build_stats_;
 
   // ForEachRootMerged scratch (mutable: merge-on-read is logically
   // const). Reused across calls, guarded by merge_mu_; see the method

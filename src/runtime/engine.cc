@@ -140,6 +140,12 @@ Engine::EngineStats Engine::Stats() const {
   out.approx_bytes = sharded_->ApproxBytes();
   out.num_shards = sharded_->num_shards();
   out.native_enabled = sharded_->native_enabled();
+  const NativeBuildStats& build = sharded_->native_build_stats();
+  out.native_build_ms = build.build_ms;
+  out.native_wait_ms = build.wait_ms;
+  out.native_source_bytes = build.source_bytes;
+  out.native_entry_points = build.entry_points;
+  out.native_cache_hit = build.cache_hit;
   out.shard_apply_ns = sharded_->ApplySpanSnapshot();
   out.merge_ns = sharded_->MergeSpanSnapshot();
   const exec::ShardedExecutor::StealStats steals = sharded_->steal_stats();
@@ -186,6 +192,17 @@ std::string Engine::StatsText() const {
          " entries_touched=" + std::to_string(st.totals.entries_touched) +
          " morsels_run=" + std::to_string(st.morsels_run) +
          " morsels_stolen=" + std::to_string(st.morsels_stolen) + "\n";
+  if (options_.backend == Backend::kCompile) {
+    char build[160];
+    std::snprintf(build, sizeof(build),
+                  "native_build: build_ms=%.1f wait_ms=%.1f "
+                  "source_bytes=%llu entry_points=%llu cache_hit=%d\n",
+                  st.native_build_ms, st.native_wait_ms,
+                  static_cast<unsigned long long>(st.native_source_bytes),
+                  static_cast<unsigned long long>(st.native_entry_points),
+                  st.native_cache_hit ? 1 : 0);
+    out += build;
+  }
   auto span = [&](const char* name, const obs::HistogramSnapshot& s) {
     out += std::string(name) + ": n=" + std::to_string(s.count) +
            " mean=" + std::to_string(s.mean()) +
@@ -199,21 +216,16 @@ std::string Engine::StatsText() const {
                       "emissions", "native", "interp", "win ms", "mode"});
   for (const StmtStats& row : st.statements) {
     const Executor::StmtCounters& c = row.counters;
-    std::string mode = ModeName(row.dispatch.plain_mode);
-    if (row.dispatch.grouped_available &&
-        row.dispatch.grouped_mode != row.dispatch.plain_mode) {
-      mode += "/";
-      mode += ModeName(row.dispatch.grouped_mode);
-    }
-    if (row.dispatch.window_available) {
-      mode += " w:";
-      mode += ModeName(row.dispatch.win_plain_mode);
-      if (row.dispatch.win_grouped_mode != row.dispatch.win_plain_mode) {
+    // Statements without a window entry point never run natively.
+    std::string mode = "interp-only";
+    if (row.dispatch.native_available) {
+      mode = ModeName(row.dispatch.plain_mode);
+      if (row.dispatch.grouped_available &&
+          row.dispatch.grouped_mode != row.dispatch.plain_mode) {
         mode += "/";
-        mode += ModeName(row.dispatch.win_grouped_mode);
+        mode += ModeName(row.dispatch.grouped_mode);
       }
     }
-    if (!row.dispatch.native_available) mode = "interp-only";
     char win_ms[32];
     std::snprintf(win_ms, sizeof(win_ms), "%.1f", c.window_ns / 1e6);
     table.AddRow({row.label, std::to_string(c.invocations),
@@ -254,6 +266,20 @@ std::string Engine::StatsJson(int indent) const {
          ",\n";
   out += pad + "  \"approx_bytes\": " + std::to_string(st.approx_bytes) +
          ",\n";
+  char build[256];
+  std::snprintf(build, sizeof(build),
+                "%s  \"native_build_ms\": %.3f,\n"
+                "%s  \"native_wait_ms\": %.3f,\n"
+                "%s  \"native_source_bytes\": %llu,\n"
+                "%s  \"native_entry_points\": %llu,\n"
+                "%s  \"native_cache_hit\": %s,\n",
+                pad.c_str(), st.native_build_ms, pad.c_str(),
+                st.native_wait_ms, pad.c_str(),
+                static_cast<unsigned long long>(st.native_source_bytes),
+                pad.c_str(),
+                static_cast<unsigned long long>(st.native_entry_points),
+                pad.c_str(), st.native_cache_hit ? "true" : "false");
+  out += build;
   out += pad + "  \"totals\": {\"updates\": " +
          std::to_string(st.totals.updates) +
          ", \"statements_run\": " + std::to_string(st.totals.statements_run) +
@@ -288,14 +314,8 @@ std::string Engine::StatsJson(int indent) const {
            ", \"window_ns\": " + std::to_string(c.window_ns) +
            ", \"native_available\": " +
            (row.dispatch.native_available ? "true" : "false") +
-           ", \"window_available\": " +
-           (row.dispatch.window_available ? "true" : "false") +
            ", \"plain_mode\": \"" + ModeName(row.dispatch.plain_mode) +
            "\", \"grouped_mode\": \"" + ModeName(row.dispatch.grouped_mode) +
-           "\", \"win_plain_mode\": \"" +
-           ModeName(row.dispatch.win_plain_mode) +
-           "\", \"win_grouped_mode\": \"" +
-           ModeName(row.dispatch.win_grouped_mode) +
            "\", \"profile_native_ns\": " +
            std::to_string(row.dispatch.profile_native_ns) +
            ", \"profile_interp_ns\": " +

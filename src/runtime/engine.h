@@ -158,6 +158,8 @@ class Engine {
   }
   // True when backend == kCompile actually engaged: statements dispatch
   // into the dlopen'd native module instead of the bytecode interpreter.
+  // Create only launches the host compiler; this (like native_status,
+  // Stats and the first apply) waits for it.
   bool native_enabled() const { return sharded_->native_enabled(); }
   // Why the compiled backend is off (Ok when on or never requested) —
   // e.g. "no host C compiler found" in sandboxed CI.
@@ -183,6 +185,16 @@ class Engine {
     size_t approx_bytes = 0;              // all views, all shards
     size_t num_shards = 0;
     bool native_enabled = false;
+    // The native module build (zeros on the interpreter backend): wall
+    // time from launch to resolved, how long the resolver blocked (less
+    // than build_ms when the compile overlapped other work), emitted C
+    // size, window entry points resolved, and whether a cached .so
+    // spared the compiler.
+    double native_build_ms = 0;
+    double native_wait_ms = 0;
+    uint64_t native_source_bytes = 0;
+    uint64_t native_entry_points = 0;
+    bool native_cache_hit = false;
     obs::HistogramSnapshot shard_apply_ns;  // per shard per batch
     obs::HistogramSnapshot merge_ns;        // merged root reads
     uint64_t morsels_run = 0;     // window morsels executed (all shards)

@@ -152,8 +152,7 @@ Status Executor::ApplyDeltaBatch(Symbol relation,
     const int t = FindTrigger(relation, sign);
     const bool linear =
         t >= 0 &&
-        program_.triggers[static_cast<size_t>(t)].multiplicity_linear &&
-        group.size() > 1;
+        program_.triggers[static_cast<size_t>(t)].multiplicity_linear;
     if (linear) {
       for (const Delta& d : group) {
         const int64_t m = d.multiplicity.AsInt();
@@ -190,7 +189,10 @@ Status Executor::ApplyDeltaColumns(const exec::RelationDelta& delta,
                                    delta.relation.str());
   }
   if (force_row_) return ApplyDeltaRowFallback(delta, rows, n);
-  ++col_epoch_;
+  // One epoch for every window cut from this delta's columns (a
+  // nonlinear group's single firings in between take epochs of their
+  // own, so the native mirror cache reconverts rather than aliasing).
+  const uint64_t epoch = ++col_epoch_;
   // Split by sign (insert trigger for net-positive rows, delete trigger
   // for net-negative); each sign group runs as one sequential block, so
   // cross-relation read dependencies see a consistent prefix. Mirrors
@@ -212,8 +214,7 @@ Status Executor::ApplyDeltaColumns(const exec::RelationDelta& delta,
     const int t = FindTrigger(delta.relation, sign);
     const bool linear =
         t >= 0 &&
-        program_.triggers[static_cast<size_t>(t)].multiplicity_linear &&
-        group.size() > 1;
+        program_.triggers[static_cast<size_t>(t)].multiplicity_linear;
     if (linear) {
       for (const uint32_t r : group) {
         const int64_t m = delta.mults[r].AsInt();
@@ -222,7 +223,7 @@ Status Executor::ApplyDeltaColumns(const exec::RelationDelta& delta,
         if (m > 1 || m < -1) ++stats_.scaled_firings;
       }
       RunLinearTriggerBatchColumnar(static_cast<size_t>(t), delta,
-                                    group.data(), group.size());
+                                    group.data(), group.size(), epoch);
       if (has_lazy_views_) {
         base_db_.Reserve(delta.relation, group.size());
         row_gather_.resize(delta.arity());
@@ -259,12 +260,15 @@ Status Executor::ApplyDeltaRowFallback(const exec::RelationDelta& delta,
 
 void Executor::RunLinearTriggerBatchColumnar(size_t trigger_idx,
                                              const exec::RelationDelta& delta,
-                                             const uint32_t* rows, size_t n) {
+                                             const uint32_t* rows, size_t n,
+                                             uint64_t epoch) {
   // Statement-major, like RunLinearTriggerBatch; the grouping decisions
   // and every semantic counter are identical to the row path — only the
   // execution mechanics (column indexing, window dispatch) differ.
   const std::vector<Value>* cols = delta.columns.data();
   const uint32_t arity = static_cast<uint32_t>(delta.arity());
+  col_ptrs_.resize(arity);
+  for (uint32_t c = 0; c < arity; ++c) col_ptrs_[c] = cols[c].data();
   for (const lower::StmtProgram& sp : lowered_->stmts[trigger_idx]) {
     if (!sp.groupable) {
       win_rows_.assign(rows, rows + n);
@@ -275,9 +279,10 @@ void Executor::RunLinearTriggerBatchColumnar(size_t trigger_idx,
       }
       stats_.statements_run += n;
       RINGDB_OBS(stmt_counters_[sp.stmt_id].invocations += n);
-      const ColWindow win{cols,  win_rows_.data(), win_scales_.data(),
-                          n,     arity,            delta.size(),
-                          col_epoch_};
+      const ColWindow win{col_ptrs_.data(), win_rows_.data(),
+                          win_scales_.data(), n,
+                          arity,            delta.size(),
+                          epoch};
 #ifndef RINGDB_NO_METRICS
       const uint64_t win_t0 = obs::NowNs();
 #endif
@@ -350,13 +355,13 @@ void Executor::RunLinearTriggerBatchColumnar(size_t trigger_idx,
     if (win_rows_.empty()) continue;
     stats_.statements_run += win_rows_.size();
     RINGDB_OBS(stmt_counters_[sp.stmt_id].invocations += win_rows_.size());
-    const ColWindow win{cols,
+    const ColWindow win{col_ptrs_.data(),
                         win_rows_.data(),
                         win_scales_.data(),
                         win_rows_.size(),
                         arity,
                         delta.size(),
-                        col_epoch_};
+                        epoch};
 #ifndef RINGDB_NO_METRICS
     const uint64_t win_t0 = obs::NowNs();
 #endif
@@ -369,10 +374,8 @@ void Executor::RunLinearTriggerBatchColumnar(size_t trigger_idx,
 void Executor::RunStatementWindow(const lower::StmtProgram& sp,
                                   const ColWindow& win,
                                   const lower::RhsProgram& rhs) {
-  // Base implementation: gather each row's params and run the per-firing
-  // seam, so an interpreter-only executor (and any subclass that lacks a
-  // native window variant) executes windows row by row with unchanged
-  // semantics and counters.
+  // Interpret the window row by row: gather each row's params and run
+  // the statement once per firing.
   param_gather_.resize(win.arity);
   for (size_t i = 0; i < win.n; ++i) {
     const uint32_t r = win.rows[i];
@@ -394,7 +397,7 @@ void Executor::RunLinearTriggerBatch(size_t trigger_idx,
         ++stats_.statements_run;
         RINGDB_OBS(++stmt_counters_[sp.stmt_id].invocations);
         const int64_t m = d.multiplicity.AsInt();
-        RunStatement(sp, d.values->data(), Numeric(m > 0 ? m : -m), sp.rhs);
+        RunFiring(sp, d.values->data(), Numeric(m > 0 ? m : -m), sp.rhs);
       }
       continue;
     }
@@ -429,7 +432,7 @@ void Executor::RunLinearTriggerBatch(size_t trigger_idx,
       if (coeff.IsZero()) continue;
       ++stats_.statements_run;
       RINGDB_OBS(++stmt_counters_[sp.stmt_id].invocations);
-      RunStatement(sp, rep_values->data(), coeff, sp.grouped_rhs);
+      RunFiring(sp, rep_values->data(), coeff, sp.grouped_rhs);
     }
   }
 }
@@ -439,8 +442,20 @@ void Executor::FireTrigger(size_t trigger_idx, const Value* params,
   for (const lower::StmtProgram& sp : lowered_->stmts[trigger_idx]) {
     ++stats_.statements_run;
     RINGDB_OBS(++stmt_counters_[sp.stmt_id].invocations);
-    RunStatement(sp, params, scale, sp.rhs);
+    RunFiring(sp, params, scale, sp.rhs);
   }
+}
+
+void Executor::RunFiring(const lower::StmtProgram& sp, const Value* params,
+                         Numeric scale, const lower::RhsProgram& rhs) {
+  static constexpr uint32_t kRow0 = 0;
+  firing_cols_.resize(sp.param_count);
+  for (uint16_t c = 0; c < sp.param_count; ++c) {
+    firing_cols_[c] = params + c;
+  }
+  const ColWindow win{firing_cols_.data(), &kRow0, &scale, 1,
+                      sp.param_count,      1,      ++col_epoch_};
+  RunStatementWindow(sp, win, rhs);
 }
 
 void Executor::ReserveForBatch(size_t additional) {

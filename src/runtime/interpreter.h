@@ -16,9 +16,10 @@
 // (Theorem 7.1 / the NC0 property) empirically; the lowered programs
 // preserve the tree walker's operation counts exactly.
 //
-// Statement execution is a virtual seam: the compiled backend
-// (runtime/compiled_executor.h) subclasses Executor and overrides
-// RunStatement to dispatch into dlopen'd native code, inheriting batching,
+// Statement execution has one virtual seam, RunStatementWindow: every
+// statement execution is a columnar window (a single firing is a 1-row
+// window). The compiled backend (runtime/compiled_executor.h) overrides
+// it to dispatch into dlopen'd native code, inheriting batching,
 // grouping, lazy maintenance, and all read paths unchanged.
 
 #ifndef RINGDB_RUNTIME_INTERPRETER_H_
@@ -77,27 +78,22 @@ class Executor {
     uint64_t emissions = 0;        // nonzero rhs values emitted
     uint64_t native_calls = 0;     // dispatched into the native module
     uint64_t interp_calls = 0;     // run by the bytecode interpreter
-    // Wall ns spent in this statement's whole-window dispatches
-    // (RunStatementWindow). Timing, not a semantic count: it varies by
-    // backend and run, so the backend/representation invariance suites
-    // exclude it. Zero on the per-tuple path, which never runs windows.
+    // Wall ns spent in this statement's batch windows (the columnar
+    // batch path). Timing, not a semantic count: it varies by backend and
+    // run, so the backend/representation invariance suites exclude it.
+    // Single firings (1-row windows) are not timed.
     uint64_t window_ns = 0;
   };
 
   // Per-statement backend dispatch report for stats export; the compiled
   // backend overrides with its profile-guided decisions.
   struct StmtDispatch {
-    bool native_available = false;    // plain variant has a native fn
-    bool grouped_available = false;   // grouped variant has a native fn
-    bool window_available = false;    // columnar-window entry point exists
-    // Locked execution mode: 0 = interpreter, 1 = native, 2 = profiling
-    // (warmup alternation still measuring).
+    bool native_available = false;    // plain rhs has a window entry point
+    bool grouped_available = false;   // grouped rhs has a window entry point
+    // Locked window execution mode: 0 = interpreter, 1 = native,
+    // 2 = profiling (warmup alternation still measuring).
     uint8_t plain_mode = 0;
     uint8_t grouped_mode = 0;
-    // Same, for the whole-window dispatch (native columnar call vs the
-    // gathered per-firing path); meaningless unless window_available.
-    uint8_t win_plain_mode = 0;
-    uint8_t win_grouped_mode = 0;
     uint64_t profile_native_ns = 0;   // warmup wall time, native runs
     uint64_t profile_interp_ns = 0;   // warmup wall time, interpreted runs
   };
@@ -147,13 +143,15 @@ class Executor {
   // A columnar execution window: `n` firings of one statement, row i
   // reading its trigger params from cols[c][rows[i]] and scaling its
   // emissions by scales[i]. `cols` points at the arity dense columns of a
-  // RelationDelta; `rows` selects and orders the firings (never null);
-  // col_len is the full column length and `epoch` identifies the column
-  // arrays across windows cut from the same delta, so backends can cache
-  // per-delta derived state (the native mirror columns) and convert each
-  // column once per batch rather than once per statement window.
+  // RelationDelta (or, for a single firing, at the params themselves:
+  // cols[c] = &params[c], one row); `rows` selects and orders the firings
+  // (never null); col_len is the full column length and `epoch`
+  // identifies the column arrays across windows cut from the same delta,
+  // so backends can cache per-delta derived state (the native mirror
+  // columns) and convert each column once per batch rather than once per
+  // statement window. Epochs are unique per column set.
   struct ColWindow {
-    const std::vector<Value>* cols;
+    const Value* const* cols;
     const uint32_t* rows;
     const Numeric* scales;
     size_t n = 0;
@@ -206,10 +204,10 @@ class Executor {
   virtual void CollectDispatch(std::vector<StmtDispatch>* out) const {
     out->assign(lowered_->num_statements, StmtDispatch{});
   }
-  // How this executor dispatches whole columnar windows, for per-shard
-  // trace spans: 0 = row fallback (RINGDB_FORCE_ROW), 1 = interpreted /
-  // gathered windows, 2 = native window entry points, 3 = still
-  // profiling. Base executor never has native windows.
+  // How this executor dispatches columnar windows, for per-shard trace
+  // spans: 0 = row fallback (RINGDB_FORCE_ROW), 1 = interpreted windows,
+  // 2 = native window entry points, 3 = still profiling. Base executor
+  // never has native windows.
   virtual uint32_t window_dispatch_mode() const {
     return force_row_ ? 0u : 1u;
   }
@@ -224,45 +222,26 @@ class Executor {
   virtual size_t ApproxBytes() const;
 
  protected:
-  // Runs one statement with the given rhs program (sp.rhs normally,
-  // sp.grouped_rhs for grouped batch execution); emissions scale by
-  // `scale`. This is the backend seam: the compiled executor overrides it
-  // to dispatch into native code (falling back to this implementation for
-  // statements that were not emitted).
-  virtual void RunStatement(const compiler::lower::StmtProgram& sp,
-                            const Value* params, Numeric scale,
-                            const compiler::lower::RhsProgram& rhs);
-  // Runs one statement over a whole columnar window. The base
-  // implementation gathers each row's params into a scratch buffer and
-  // delegates to the virtual RunStatement, so subclasses that only
-  // override the per-firing seam still execute windows correctly; the
-  // compiled backend overrides this to dispatch whole windows into the
-  // native columnar entry points. Callers have already accounted
-  // statements_run/invocations for all n firings.
+  // Runs one statement over a whole columnar window with the given rhs
+  // program (sp.rhs normally, sp.grouped_rhs for grouped batch
+  // execution). This is the backend seam: the base implementation
+  // interprets the window row by row; the compiled backend overrides it
+  // to dispatch whole windows into native entry points (falling back to
+  // this implementation for statements that were not emitted). Callers
+  // have already accounted statements_run/invocations for all n firings.
   virtual void RunStatementWindow(const compiler::lower::StmtProgram& sp,
                                   const ColWindow& win,
                                   const compiler::lower::RhsProgram& rhs);
-  // Applies the buffered emissions of the statement just run, scaled by
-  // `scale` (shared epilogue of the interpreted and native paths).
-  void FlushEmissions(const compiler::lower::StmtProgram& sp, Numeric scale);
 
-  // Shared with the compiled backend: the immutable lowered program, the
-  // view stores its trampolines probe/enumerate/emit against, and the
-  // per-statement emission buffers its native calls fill.
+  // Shared with the compiled backend: the immutable lowered program and
+  // the view stores its trampolines probe/enumerate/emit against.
   std::shared_ptr<const compiler::lower::LoweredProgram> lowered_;
   std::vector<ViewTable> views_;
-  // Deferred emissions of the running statement: target keys flattened
-  // into one Value buffer (arity-sized chunks) plus parallel deltas.
-  // Buffered because a statement may loop over its own target view
-  // (domain maintenance), and mutating a view during enumeration would
-  // change what later iterations observe.
-  std::vector<Value> emission_keys_;
-  std::vector<Numeric> emission_values_;
   Stats stats_;
   // stmt_counters_[StmtProgram::stmt_id]; sized at construction (at
   // least one element so cur_counters_ always points at valid storage).
   std::vector<StmtCounters> stmt_counters_;
-  // The running statement's counter row, set on RunStatement entry; the
+  // The running statement's counter row, set on statement entry; the
   // compiled backend's trampolines attribute loop/probe/emission events
   // through it.
   StmtCounters* cur_counters_ = nullptr;
@@ -297,17 +276,29 @@ class Executor {
   // Runs every statement of the trigger once; emissions are scaled by
   // `scale` (1 for unit firings).
   void FireTrigger(size_t trigger_idx, const Value* params, Numeric scale);
+  // Runs one firing of a statement as a 1-row window over `params`.
+  void RunFiring(const compiler::lower::StmtProgram& sp, const Value* params,
+                 Numeric scale, const compiler::lower::RhsProgram& rhs);
+  // Interprets one firing; emissions scale by `scale`.
+  void RunStatement(const compiler::lower::StmtProgram& sp,
+                    const Value* params, Numeric scale,
+                    const compiler::lower::RhsProgram& rhs);
+  // Applies the buffered emissions of the statement just run, scaled by
+  // `scale`.
+  void FlushEmissions(const compiler::lower::StmtProgram& sp, Numeric scale);
   // Statement-major grouped execution of a linear trigger over same-sign
-  // delta entries (see ApplyDeltaBatch).
+  // delta entries (see ApplyDeltaBatch); firings run as 1-row windows.
   void RunLinearTriggerBatch(size_t trigger_idx,
                              const std::vector<Delta>& deltas);
   // Columnar twin of RunLinearTriggerBatch: same grouping decisions and
   // operation counts, but shape keys hash straight out of the columns
   // (no Key materialization) and statements fire through
-  // RunStatementWindow. `rows` lists same-sign row ids of `delta`.
+  // RunStatementWindow. `rows` lists same-sign row ids of `delta`, whose
+  // columns carry window epoch `epoch`.
   void RunLinearTriggerBatchColumnar(size_t trigger_idx,
                                      const exec::RelationDelta& delta,
-                                     const uint32_t* rows, size_t n);
+                                     const uint32_t* rows, size_t n,
+                                     uint64_t epoch);
   // ApplyDeltaColumns under RINGDB_FORCE_ROW=1: gathers the selected rows
   // back into per-row Value vectors and replays the legacy row path.
   Status ApplyDeltaRowFallback(const exec::RelationDelta& delta,
@@ -377,6 +368,13 @@ class Executor {
   // lowered program's maxima. Nothing below allocates per firing.
   std::vector<Value> frame_;          // loop-variable slots
   std::vector<Reg> stack_;            // rhs register stack
+  // Deferred emissions of the running statement: target keys flattened
+  // into one Value buffer (arity-sized chunks) plus parallel deltas.
+  // Buffered because a statement may loop over its own target view
+  // (domain maintenance), and mutating a view during enumeration would
+  // change what later iterations observe.
+  std::vector<Value> emission_keys_;
+  std::vector<Numeric> emission_values_;
   std::vector<Numeric> loop_values_;  // per-depth driver-entry value
   std::vector<Key> loop_key_scratch_;  // per-depth index probe subkeys
   Key probe_scratch_;                  // rhs view-lookup keys
@@ -392,7 +390,9 @@ class Executor {
   // hash -> rep index, reps keep (row id, accumulated coefficient, hash)
   // in first-touch order — no shape Key is ever materialized.
   bool force_row_ = false;          // RINGDB_FORCE_ROW=1 at construction
-  uint64_t col_epoch_ = 0;          // bumped once per columnar delta
+  uint64_t col_epoch_ = 0;          // last ColWindow epoch handed out
+  std::vector<const Value*> col_ptrs_;     // the delta's column arrays
+  std::vector<const Value*> firing_cols_;  // RunFiring: &params[c]
   std::vector<uint32_t> sign_rows_[2];
   std::vector<uint32_t> group_slots_;
   std::vector<uint32_t> rep_rows_;

@@ -1,16 +1,24 @@
 #include "runtime/native_module.h"
 
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "util/hash.h"
+
+extern char** environ;
 
 namespace ringdb {
 namespace runtime {
@@ -93,18 +101,6 @@ Status WriteFileAtomic(const fs::path& target, const std::string& content) {
   return Status::Ok();
 }
 
-std::string ShellQuote(const std::string& s) {
-  std::string out = "'";
-  for (char c : s) {
-    if (c == '\'') {
-      out += "'\\''";
-    } else {
-      out += c;
-    }
-  }
-  return out + "'";
-}
-
 std::string FirstLines(const fs::path& file, size_t max_bytes) {
   std::ifstream in(file);
   std::string content((std::istreambuf_iterator<char>(in)),
@@ -116,92 +112,143 @@ std::string FirstLines(const fs::path& file, size_t max_bytes) {
   return content;
 }
 
-// Compiles `src` into `so` (via a temp name so concurrent builders of the
-// same hash can only ever publish complete artifacts).
-Status CompileSo(const std::string& cc, const fs::path& src,
-                 const fs::path& so) {
-  const std::string suffix = TmpSuffix();
-  fs::path tmp_so = so;
-  tmp_so += suffix;
-  fs::path log = so;
-  log += suffix + ".log";
-  // -w: generated code compiles warning-free in spirit, but helper
-  // functions a given module never calls would trip -Wunused-function.
-  const std::string cmd = ShellQuote(cc) + " -O2 -fPIC -shared -w -x c " +
-                          ShellQuote(src.string()) + " -o " +
-                          ShellQuote(tmp_so.string()) + " 2> " +
-                          ShellQuote(log.string());
-  const int rc = std::system(cmd.c_str());
-  if (rc != 0) {
-    const std::string detail = FirstLines(log, 512);
-    std::error_code ec;
-    fs::remove(tmp_so, ec);
-    fs::remove(log, ec);
-    return Status::Internal("native compile failed (" + cc +
-                            "): " + detail);
-  }
-  std::error_code ec;
-  fs::remove(log, ec);
-  fs::rename(tmp_so, so, ec);
-  if (ec) {
-    fs::remove(tmp_so, ec);
-    return Status::Internal("cannot publish " + so.string() + ": " +
-                            ec.message());
-  }
-  return Status::Ok();
+uint64_t NowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
 }
 
 }  // namespace
 
-StatusOr<std::shared_ptr<const NativeModule>> NativeModule::Build(
+std::unique_ptr<NativeModule::Pending> NativeModule::Launch(
     const compiler::TriggerProgram& program) {
-  compiler::CodegenModule gen = compiler::GenerateModule(program);
-  if (gen.emitted_statements == 0) {
-    return Status::FailedPrecondition(
-        "no emittable statements (lazy-domain program); interpreter only");
-  }
-  const std::string cc = FindCompiler();
-  if (cc.empty()) {
-    return Status::FailedPrecondition(
-        "no host C compiler found (set RINGDB_CC or install cc)");
-  }
-  RINGDB_ASSIGN_OR_RETURN(fs::path dir, CacheDir());
-  // Key on content hash + length: same program, same artifact.
-  char key[64];
-  std::snprintf(key, sizeof(key), "%016llx-%zu",
-                static_cast<unsigned long long>(HashString(gen.source)),
-                gen.source.size());
-  const fs::path src = dir / (std::string(key) + ".c");
-  const fs::path so = dir / (std::string(key) + ".so");
+  std::unique_ptr<Pending> p(new Pending());
+  p->launch_ns_ = NowNs();
+  p->gen_ = compiler::GenerateModule(program);
+  p->stats_.source_bytes = p->gen_.source.size();
+  p->status_ = [&]() -> Status {
+    if (p->gen_.emitted_statements == 0) {
+      return Status::FailedPrecondition(
+          "no emittable statements (lazy-domain or self-reading "
+          "program); interpreter only");
+    }
+    p->cc_ = FindCompiler();
+    if (p->cc_.empty()) {
+      return Status::FailedPrecondition(
+          "no host C compiler found (set RINGDB_CC or install cc)");
+    }
+    RINGDB_ASSIGN_OR_RETURN(fs::path dir, CacheDir());
+    // Key on content hash + length: same program, same artifact.
+    char key[64];
+    std::snprintf(key, sizeof(key), "%016llx-%zu",
+                  static_cast<unsigned long long>(HashString(p->gen_.source)),
+                  p->gen_.source.size());
+    p->src_ = (dir / (std::string(key) + ".c")).string();
+    p->so_ = (dir / (std::string(key) + ".so")).string();
+    std::error_code ec;
+    p->cached_ = fs::exists(p->so_, ec);
+    return p->cached_ ? Status::Ok() : p->Spawn();
+  }();
+  return p;
+}
 
+Status NativeModule::Pending::Spawn() {
+  RINGDB_RETURN_IF_ERROR(WriteFileAtomic(src_, gen_.source));
+  // The compiler writes a temp name, published by Reap, so concurrent
+  // builders of the same hash can only ever publish complete artifacts.
+  const std::string suffix = TmpSuffix();
+  tmp_so_ = so_ + suffix;
+  log_ = so_ + suffix + ".log";
+  // -w: generated code compiles warning-free in spirit, but helper
+  // functions a given module never calls would trip -Wunused-function.
+  const char* argv[] = {cc_.c_str(), "-O2",          "-fPIC",
+                        "-shared",   "-w",           "-x",
+                        "c",         src_.c_str(),   "-o",
+                        tmp_so_.c_str(), nullptr};
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(&actions, STDERR_FILENO, log_.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  const int rc =
+      ::posix_spawnp(&pid_, cc_.c_str(), &actions, nullptr,
+                     const_cast<char* const*>(argv), environ);
+  posix_spawn_file_actions_destroy(&actions);
+  if (rc != 0) {
+    pid_ = -1;
+    std::error_code ec;
+    fs::remove(log_, ec);
+    return Status::Internal("cannot start host C compiler " + cc_ + ": " +
+                            std::strerror(rc));
+  }
+  return Status::Ok();
+}
+
+Status NativeModule::Pending::Reap() {
+  int wstatus = 0;
+  pid_t r;
+  do {
+    r = ::waitpid(pid_, &wstatus, 0);
+  } while (r < 0 && errno == EINTR);
+  pid_ = -1;
   std::error_code ec;
-  const bool cached = fs::exists(so, ec);
-  if (!cached) {
-    RINGDB_RETURN_IF_ERROR(WriteFileAtomic(src, gen.source));
-    RINGDB_RETURN_IF_ERROR(CompileSo(cc, src, so));
+  if (r < 0 || !WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0) {
+    const std::string detail = FirstLines(log_, 512);
+    fs::remove(tmp_so_, ec);
+    fs::remove(log_, ec);
+    return Status::Internal("native compile failed (" + cc_ + "): " +
+                            detail);
   }
+  fs::remove(log_, ec);
+  fs::rename(tmp_so_, so_, ec);
+  if (ec) {
+    fs::remove(tmp_so_, ec);
+    return Status::Internal("cannot publish " + so_ + ": " + ec.message());
+  }
+  return Status::Ok();
+}
 
-  auto loaded = LoadAndResolve(so.string(), gen);
-  if (!loaded.ok() && cached) {
+NativeModule::Pending::~Pending() {
+  if (pid_ >= 0) (void)Reap();
+}
+
+StatusOr<std::shared_ptr<const NativeModule>> NativeModule::Pending::Wait() {
+  const uint64_t t0 = NowNs();
+  auto module = Finish();
+  const uint64_t t1 = NowNs();
+  stats_.wait_ms = static_cast<double>(t1 - t0) / 1e6;
+  stats_.build_ms = static_cast<double>(t1 - launch_ns_) / 1e6;
+  if (!module.ok()) return module.status();
+  stats_.cache_hit = cached_;
+  return std::shared_ptr<const NativeModule>(std::move(module).value());
+}
+
+StatusOr<std::shared_ptr<NativeModule>> NativeModule::Pending::Finish() {
+  RINGDB_RETURN_IF_ERROR(status_);
+  if (pid_ >= 0) RINGDB_RETURN_IF_ERROR(Reap());
+  auto loaded = LoadAndResolve(so_, gen_, &stats_.entry_points);
+  if (!loaded.ok() && cached_) {
     // The cache lied: the hash-keyed name promised a loadable module for
     // this exact source, but the artifact would not dlopen, failed the
-    // ABI handshake, or is missing symbols (truncated or bit-rotted
-    // file, cache shared with an incompatible build). Evict it and pay
-    // the compile once — never surface a corrupt cache entry as an
-    // engine-construction error.
-    fs::remove(so, ec);
-    RINGDB_RETURN_IF_ERROR(WriteFileAtomic(src, gen.source));
-    RINGDB_RETURN_IF_ERROR(CompileSo(cc, src, so));
-    loaded = LoadAndResolve(so.string(), gen);
+    // ABI handshake (a module from an older ABI), or is missing symbols
+    // (truncated or bit-rotted file, cache shared with an incompatible
+    // build). Evict it and pay the compile once — never surface a
+    // corrupt cache entry as an engine-construction error.
+    std::error_code ec;
+    fs::remove(so_, ec);
+    cached_ = false;
+    RINGDB_RETURN_IF_ERROR(Spawn());
+    RINGDB_RETURN_IF_ERROR(Reap());
+    loaded = LoadAndResolve(so_, gen_, &stats_.entry_points);
   }
   if (!loaded.ok()) return loaded.status();
-  std::shared_ptr<NativeModule> module = std::move(loaded).value();
-  module->source_ = std::move(gen.source);
-  return std::shared_ptr<const NativeModule>(std::move(module));
+  (*loaded)->source_ = std::move(gen_.source);
+  return loaded;
 }
 
 StatusOr<std::shared_ptr<NativeModule>> NativeModule::LoadAndResolve(
-    const std::string& so_path, const compiler::CodegenModule& gen) {
+    const std::string& so_path, const compiler::CodegenModule& gen,
+    uint64_t* entry_points) {
   void* handle = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (handle == nullptr) {
     const char* err = ::dlerror();
@@ -224,49 +271,31 @@ StatusOr<std::shared_ptr<NativeModule>> NativeModule::LoadAndResolve(
     return Status::Internal("native module ABI mismatch: " + so_path);
   }
 
+  auto resolve = [&](const std::string& name,
+                     RdbColStmtFn* fn) -> Status {
+    *fn = reinterpret_cast<RdbColStmtFn>(::dlsym(handle, name.c_str()));
+    if (*fn == nullptr) {
+      return Status::Internal("missing native symbol " + name);
+    }
+    ++*entry_points;
+    return Status::Ok();
+  };
+  *entry_points = 0;
   module->fns_.resize(gen.stmts.size());
   for (size_t t = 0; t < gen.stmts.size(); ++t) {
     module->fns_[t].resize(gen.stmts[t].size());
     for (size_t s = 0; s < gen.stmts[t].size(); ++s) {
       const compiler::CodegenStmt& cs = gen.stmts[t][s];
       if (!cs.emitted) continue;
-      StmtFns fns;
-      fns.plain = reinterpret_cast<RdbStmtFn>(
-          ::dlsym(handle, cs.fn.c_str()));
-      if (fns.plain == nullptr) {
-        return Status::Internal("missing native symbol " + cs.fn);
-      }
-      if (!cs.grouped_fn.empty()) {
-        fns.grouped = reinterpret_cast<RdbStmtFn>(
-            ::dlsym(handle, cs.grouped_fn.c_str()));
-        if (fns.grouped == nullptr) {
-          return Status::Internal("missing native symbol " +
-                                  cs.grouped_fn);
-        }
-      }
-      if (!cs.win_fn.empty()) {
-        fns.col_plain = reinterpret_cast<RdbColStmtFn>(
-            ::dlsym(handle, cs.win_fn.c_str()));
-        if (fns.col_plain == nullptr) {
-          return Status::Internal("missing native symbol " + cs.win_fn);
-        }
-      }
-      if (!cs.grouped_win_fn.empty()) {
-        if (cs.grouped_win_fn == cs.win_fn) {
-          fns.col_grouped = fns.col_plain;
-        } else {
-          fns.col_grouped = reinterpret_cast<RdbColStmtFn>(
-              ::dlsym(handle, cs.grouped_win_fn.c_str()));
-          if (fns.col_grouped == nullptr) {
-            return Status::Internal("missing native symbol " +
-                                    cs.grouped_win_fn);
-          }
-        }
+      StmtFns& fns = module->fns_[t][s];
+      RINGDB_RETURN_IF_ERROR(resolve(cs.fn, &fns.plain));
+      if (cs.grouped_fn == cs.fn) {
+        fns.grouped = fns.plain;
+      } else if (!cs.grouped_fn.empty()) {
+        RINGDB_RETURN_IF_ERROR(resolve(cs.grouped_fn, &fns.grouped));
       }
       fns.prefer_native = cs.prefer_native;
       fns.grouped_prefer_native = cs.grouped_prefer_native;
-      module->fns_[t][s] = fns;
-      ++module->native_statements_;
     }
   }
   return module;

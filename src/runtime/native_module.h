@@ -1,33 +1,42 @@
 // Runtime compilation of generated trigger modules: take the C source
 // emitted by compiler::GenerateModule, compile it with the host C
-// compiler (`cc -O2 -shared -fPIC`), dlopen the result, and resolve one
-// function pointer per emitted statement variant.
+// compiler (`cc -O2 -shared -fPIC`), dlopen the result, and resolve the
+// window entry points of every emitted statement.
+//
+// A build runs in two steps so several queries' compiles overlap:
+// Launch() emits the source and starts the compiler as a child process
+// (posix_spawn, no shell) without waiting; Pending::Wait() reaps it,
+// dlopens the module and resolves its symbols. Callers launch as soon as
+// a query is registered and wait only before its first window.
 //
 // Shared objects are cached by source hash under a per-user build
 // directory, so repeated engine construction for the same query (every
-// shard, every test run, every process restart) pays the external
-// compiler exactly once and then just dlopens. The cache is
-// crash/race-safe: artifacts are written to temp names and renamed into
-// place atomically.
+// test run, every process restart) pays the external compiler exactly
+// once and then just dlopens. The cache is crash/race-safe: artifacts
+// are written to temp names and renamed into place atomically.
 //
 // Environment knobs:
 //   RINGDB_CC                - host compiler override. An empty value or a
 //                              path that cannot be executed disables the
-//                              backend (Build returns an error and the
+//                              backend (Wait returns an error and the
 //                              engine falls back to the interpreter); used
 //                              by tests/CI to simulate compiler-less hosts.
 //   RINGDB_NATIVE_CACHE_DIR  - cache directory override (default:
 //                              $TMPDIR/ringdb-native-cache-<uid>).
 //
-// Build() never aborts on environmental failure — no compiler, read-only
-// filesystem, dlopen errors all surface as Status so the caller can fall
-// back gracefully. ABI drift between the host and an (possibly stale,
-// cached) module is caught by the rdb_abi_version / rdb_abi_layout
-// handshake exported by every module.
+// Nothing here aborts on environmental failure — no compiler, read-only
+// filesystem, dlopen errors all surface as Status from Wait so the caller
+// can fall back gracefully. ABI drift between the host and an (possibly
+// stale, cached) module is caught by the rdb_abi_version /
+// rdb_abi_layout handshake exported by every module; a cached artifact
+// that fails it is evicted and rebuilt.
 
 #ifndef RINGDB_RUNTIME_NATIVE_MODULE_H_
 #define RINGDB_RUNTIME_NATIVE_MODULE_H_
 
+#include <sys/types.h>
+
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,28 +49,68 @@
 namespace ringdb {
 namespace runtime {
 
+// Where one module build's time and bytes went (exported per engine by
+// Engine::Stats). Recorded once, by Pending::Wait.
+struct NativeBuildStats {
+  double build_ms = 0;        // wall time from Launch to resolved
+  double wait_ms = 0;         // how long Wait actually blocked
+  uint64_t source_bytes = 0;  // emitted C
+  uint64_t entry_points = 0;  // window symbols resolved
+  bool cache_hit = false;     // a cached .so loaded; no compiler ran
+};
+
 class NativeModule {
  public:
-  // Per-statement native entry points; null means interpreter fallback.
-  // The prefer flags carry the emitter's static cost-model verdict per
-  // variant (compiler::CodegenStmt); the compiled executor's profile-
-  // guided selection starts from them.
+  // Per-statement window entry points; null means interpreter fallback.
+  // `grouped` aliases `plain` when the grouped rhs folds nothing. The
+  // prefer flags carry the emitter's static cost-model verdict per
+  // variant (compiler::CodegenStmt), which the compiled executor locks
+  // when it has no clock to profile with (-DRINGDB_NO_METRICS).
   struct StmtFns {
-    RdbStmtFn plain = nullptr;
-    RdbStmtFn grouped = nullptr;
-    // Columnar-window entry points (null for non-direct-add statements,
-    // which keep per-firing dispatch). col_grouped aliases col_plain when
-    // the grouped rhs folds nothing, mirroring grouped_fn == fn.
-    RdbColStmtFn col_plain = nullptr;
-    RdbColStmtFn col_grouped = nullptr;
+    RdbColStmtFn plain = nullptr;
+    RdbColStmtFn grouped = nullptr;
     bool prefer_native = true;
     bool grouped_prefer_native = true;
   };
 
-  // Emits, compiles, caches, and loads the module for `program`. Errors
-  // (no emittable statements, no host compiler, compile/dlopen failure,
-  // ABI mismatch) are returned, never fatal.
-  static StatusOr<std::shared_ptr<const NativeModule>> Build(
+  // A build in flight. Destroying it before Wait reaps the compiler
+  // (blocking until it exits) and publishes or removes its temp files,
+  // so no child process or temp artifact outlives it.
+  class Pending {
+   public:
+    ~Pending();
+    Pending(const Pending&) = delete;
+    Pending& operator=(const Pending&) = delete;
+
+    // Reaps the compiler, dlopens and resolves. Errors (no emittable
+    // statements, no host compiler, compile/dlopen failure, ABI
+    // mismatch) are returned, never fatal. Call at most once.
+    StatusOr<std::shared_ptr<const NativeModule>> Wait();
+    const NativeBuildStats& stats() const { return stats_; }
+
+   private:
+    friend class NativeModule;
+    Pending() = default;
+
+    // Writes the source and spawns the compiler into a temp .so.
+    Status Spawn();
+    // Waits for the spawned compiler and renames its output into place.
+    Status Reap();
+    StatusOr<std::shared_ptr<NativeModule>> Finish();
+
+    compiler::CodegenModule gen_;
+    Status status_ = Status::Ok();  // launch error, reported by Wait
+    std::string cc_;
+    std::string src_, so_, tmp_so_, log_;
+    pid_t pid_ = -1;  // running compiler, or -1
+    bool cached_ = false;
+    uint64_t launch_ns_ = 0;
+    NativeBuildStats stats_;
+  };
+
+  // Emits the module for `program` and starts compiling it (or finds it
+  // in the cache). Never blocks on the compiler.
+  static std::unique_ptr<Pending> Launch(
       const compiler::TriggerProgram& program);
 
   ~NativeModule();
@@ -72,7 +121,6 @@ class NativeModule {
   const StmtFns& fns(size_t trigger, size_t stmt) const {
     return fns_[trigger][stmt];
   }
-  size_t native_statements() const { return native_statements_; }
   const std::string& so_path() const { return so_path_; }
   const std::string& source() const { return source_; }
 
@@ -80,15 +128,15 @@ class NativeModule {
   NativeModule() = default;
 
   // dlopen + ABI handshake + per-statement symbol resolution for one
-  // on-disk artifact. Split from Build so a failing *cached* artifact
+  // on-disk artifact. Split out so a failing *cached* artifact
   // (truncated, bit-rotted, or from an older ABI) can be evicted and
   // rebuilt instead of surfacing as a hard error.
   static StatusOr<std::shared_ptr<NativeModule>> LoadAndResolve(
-      const std::string& so_path, const compiler::CodegenModule& gen);
+      const std::string& so_path, const compiler::CodegenModule& gen,
+      uint64_t* entry_points);
 
   void* handle_ = nullptr;  // dlclosed by the destructor
   std::vector<std::vector<StmtFns>> fns_;
-  size_t native_statements_ = 0;
   std::string so_path_;
   std::string source_;
 };

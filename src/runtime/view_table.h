@@ -296,11 +296,6 @@ class ViewTable {
   mutable int iter_depth_ = 0;
 };
 
-// Deprecated spelling from the nested-map era (the original ViewMap was
-// rebuilt into this flat store in PR 2; the runtime/viewmap.h shim that
-// kept the old name alive is retired). New code says ViewTable.
-using ViewMap [[deprecated("use ViewTable")]] = ViewTable;
-
 }  // namespace runtime
 }  // namespace ringdb
 

@@ -168,6 +168,10 @@ void QueryService::RecoverDurability() {
 
 void QueryService::Start() {
   RINGDB_CHECK(!started_ && !stopped_);
+  // Every registered query launched its native compile at registration,
+  // so the compiles ran side by side; settle them all before recovery
+  // replays a window or the batcher applies one.
+  for (auto& query : queries_) query->engine->sharded().ResolveNative();
   RecoverDurability();  // before any thread exists; engines are quiescent
   // Shard-owned publication from here on: each shard freezes its root
   // sub-snapshot at window end (under its token), so snapshot builds

@@ -5,10 +5,13 @@
 // must agree with the AGCA reevaluation oracle — including degenerate
 // windows (all-cancelling coalesced deltas, single-column relations)
 // across batch sizes {1, 7, 1024}, shard counts {1, 2, 8}, and both
-// backends. The second half pins the representation half of the
-// counter-invariance contract: RINGDB_FORCE_ROW=1 (the legacy
-// per-tuple path) must produce identical results AND identical
-// semantic operation counts as the columnar default, per statement.
+// backends. In every cell the compiled backend must actually reach
+// native code — batch size 1 included, whose 1-event windows are 1-row
+// native windows — and do exactly the interpreter's semantic work. The
+// second half pins the representation half of the counter-invariance
+// contract: RINGDB_FORCE_ROW=1 (the legacy per-tuple path) must produce
+// identical results AND identical semantic operation counts as the
+// columnar default, per statement.
 
 #include <gtest/gtest.h>
 
@@ -155,10 +158,53 @@ std::vector<Update> AllCancellingStream(const Query& q, int pairs,
   return updates;
 }
 
+struct RunOutcome {
+  ring::Gmr gmr;
+  runtime::Executor::Stats totals;
+  std::vector<Engine::StmtStats> statements;
+};
+
+// The semantic counters that the contract pins across representations
+// AND backends. Excluded: native_calls / interp_calls (dispatch split is
+// profile-guided, so timing-dependent) and arithmetic_ops (documented as
+// instrumentation of arithmetic actually performed — both the backend
+// and the representation legitimately change how much arithmetic the
+// same delta costs, e.g. per-row scale folds vs per-firing re-evaluation).
+void ExpectSameCounters(const RunOutcome& a, const RunOutcome& b) {
+  EXPECT_EQ(a.gmr, b.gmr);
+  EXPECT_EQ(a.totals.updates, b.totals.updates);
+  EXPECT_EQ(a.totals.statements_run, b.totals.statements_run);
+  EXPECT_EQ(a.totals.entries_touched, b.totals.entries_touched);
+  EXPECT_EQ(a.totals.delta_entries, b.totals.delta_entries);
+  EXPECT_EQ(a.totals.scaled_firings, b.totals.scaled_firings);
+  ASSERT_EQ(a.statements.size(), b.statements.size());
+  for (size_t i = 0; i < a.statements.size(); ++i) {
+    SCOPED_TRACE(a.statements[i].label);
+    EXPECT_EQ(a.statements[i].counters.invocations,
+              b.statements[i].counters.invocations);
+    EXPECT_EQ(a.statements[i].counters.loop_iterations,
+              b.statements[i].counters.loop_iterations);
+    EXPECT_EQ(a.statements[i].counters.probes,
+              b.statements[i].counters.probes);
+    EXPECT_EQ(a.statements[i].counters.emissions,
+              b.statements[i].counters.emissions);
+  }
+}
+
+uint64_t NativeCalls(const RunOutcome& run) {
+  uint64_t calls = 0;
+  for (const Engine::StmtStats& s : run.statements) {
+    calls += s.counters.native_calls;
+  }
+  return calls;
+}
+
 // Applies `updates` through a batched engine and checks the result GMR
-// against the AGCA reevaluation oracle at every window boundary.
+// against the AGCA reevaluation oracle at every window boundary; the
+// final result and counters land in *out (left empty when skipped).
 void RunDifferential(const Query& q, const std::vector<Update>& updates,
-                     size_t batch_size, size_t shards, Backend backend) {
+                     size_t batch_size, size_t shards, Backend backend,
+                     std::optional<RunOutcome>* out) {
   SCOPED_TRACE(q.name + " batch=" + std::to_string(batch_size) +
                " shards=" + std::to_string(shards) + " backend=" +
                (backend == Backend::kCompile ? "compile" : "interpret"));
@@ -188,6 +234,27 @@ void RunDifferential(const Query& q, const std::vector<Update>& updates,
     ASSERT_EQ(engine->ResultGmr(), oracle.ResultGmr())
         << "divergence after " << end << " updates";
   }
+  Engine::EngineStats st = engine->Stats();
+  *out = RunOutcome{engine->ResultGmr(), st.totals, std::move(st.statements)};
+}
+
+// Runs one (batch, shards) cell under both backends. The compiled run
+// must reach native code and match the interpreter's semantic counters.
+void RunCell(const Query& q, const std::vector<Update>& updates,
+             size_t batch_size, size_t shards) {
+  std::optional<RunOutcome> interp, compiled;
+  RunDifferential(q, updates, batch_size, shards, Backend::kInterpret,
+                  &interp);
+  if (::testing::Test::HasFatalFailure()) return;
+  RunDifferential(q, updates, batch_size, shards, Backend::kCompile,
+                  &compiled);
+  if (::testing::Test::HasFatalFailure() || !compiled) return;
+  SCOPED_TRACE(q.name + " batch=" + std::to_string(batch_size) +
+               " shards=" + std::to_string(shards));
+  ExpectSameCounters(*interp, *compiled);
+#ifndef RINGDB_NO_METRICS
+  EXPECT_GT(NativeCalls(*compiled), 0u) << "no window reached native code";
+#endif
 }
 
 class ColumnarWindowTest : public ::testing::TestWithParam<size_t> {};
@@ -198,10 +265,8 @@ TEST_P(ColumnarWindowTest, RandomStreamMatchesOracle) {
     const std::vector<Update> updates =
         RandomStream(q, 2048, /*seed=*/901, /*delete_fraction=*/0.3);
     for (size_t batch : {size_t{1}, size_t{7}, size_t{1024}}) {
-      for (Backend backend : {Backend::kInterpret, Backend::kCompile}) {
-        RunDifferential(q, updates, batch, shards, backend);
-        if (HasFatalFailure() || IsSkipped()) return;
-      }
+      RunCell(q, updates, batch, shards);
+      if (HasFatalFailure() || IsSkipped()) return;
     }
   }
 }
@@ -212,10 +277,8 @@ TEST_P(ColumnarWindowTest, AllCancellingWindowsMatchOracle) {
     const std::vector<Update> updates =
         AllCancellingStream(q, /*pairs=*/512, /*seed=*/77);
     for (size_t batch : {size_t{1}, size_t{7}, size_t{1024}}) {
-      for (Backend backend : {Backend::kInterpret, Backend::kCompile}) {
-        RunDifferential(q, updates, batch, shards, backend);
-        if (HasFatalFailure() || IsSkipped()) return;
-      }
+      RunCell(q, updates, batch, shards);
+      if (HasFatalFailure() || IsSkipped()) return;
     }
   }
 }
@@ -227,12 +290,6 @@ INSTANTIATE_TEST_SUITE_P(Shards, ColumnarWindowTest,
                          });
 
 // ---- Row-vs-columnar representation invariance -------------------------
-
-struct RunOutcome {
-  ring::Gmr gmr;
-  runtime::Executor::Stats totals;
-  std::vector<Engine::StmtStats> statements;
-};
 
 std::optional<RunOutcome> RunOnce(const Query& q,
                                   const std::vector<Update>& updates,
@@ -255,33 +312,6 @@ std::optional<RunOutcome> RunOnce(const Query& q,
   out.totals = st.totals;
   out.statements = std::move(st.statements);
   return out;
-}
-
-// The semantic counters that the contract pins across representations
-// AND backends. Excluded: native_calls / interp_calls (dispatch split is
-// profile-guided, so timing-dependent) and arithmetic_ops (documented as
-// instrumentation of arithmetic actually performed — both the backend
-// and the representation legitimately change how much arithmetic the
-// same delta costs, e.g. per-row scale folds vs per-firing re-evaluation).
-void ExpectSameCounters(const RunOutcome& a, const RunOutcome& b) {
-  EXPECT_EQ(a.gmr, b.gmr);
-  EXPECT_EQ(a.totals.updates, b.totals.updates);
-  EXPECT_EQ(a.totals.statements_run, b.totals.statements_run);
-  EXPECT_EQ(a.totals.entries_touched, b.totals.entries_touched);
-  EXPECT_EQ(a.totals.delta_entries, b.totals.delta_entries);
-  EXPECT_EQ(a.totals.scaled_firings, b.totals.scaled_firings);
-  ASSERT_EQ(a.statements.size(), b.statements.size());
-  for (size_t i = 0; i < a.statements.size(); ++i) {
-    SCOPED_TRACE(a.statements[i].label);
-    EXPECT_EQ(a.statements[i].counters.invocations,
-              b.statements[i].counters.invocations);
-    EXPECT_EQ(a.statements[i].counters.loop_iterations,
-              b.statements[i].counters.loop_iterations);
-    EXPECT_EQ(a.statements[i].counters.probes,
-              b.statements[i].counters.probes);
-    EXPECT_EQ(a.statements[i].counters.emissions,
-              b.statements[i].counters.emissions);
-  }
 }
 
 TEST(RepresentationInvarianceTest, RowAndColumnarAgreeOnCounters) {

@@ -217,7 +217,7 @@ TEST(CodegenTest, EmitsStatementFunctionsPerTrigger) {
   ASSERT_EQ(mod.stmts.size(), compiled->program.triggers.size());
   EXPECT_GT(mod.emitted_statements, 0u);
   // Every statement of this non-lazy program is emitted, each trigger
-  // gets a marker section, and exported names follow rdb_t<T>_s<S>.
+  // gets a marker section, and exported names follow rdb_t<T>_s<S>_w.
   for (size_t t = 0; t < mod.stmts.size(); ++t) {
     const Trigger& trigger = compiled->program.triggers[t];
     std::string marker =
@@ -230,15 +230,15 @@ TEST(CodegenTest, EmitsStatementFunctionsPerTrigger) {
       EXPECT_TRUE(mod.stmts[t][s].emitted);
       std::string decl = "void " + mod.stmts[t][s].fn +
                          "(const RdbHostApi* api, void* ctx, "
-                         "const RdbVal* p, RdbNum scale)";
+                         "const RdbColWin* win)";
       EXPECT_NE(mod.source.find(decl), std::string::npos) << decl;
     }
   }
   // No loops are needed for this fully update-bound query: emissions go
-  // straight through the host api (direct add — no statement reads its
-  // own target), no enumeration calls.
+  // straight through the host api (chunked direct adds — no statement
+  // reads its own target), no enumeration calls.
   EXPECT_EQ(mod.source.find("->foreach"), std::string::npos);
-  EXPECT_NE(mod.source.find("->add("), std::string::npos);
+  EXPECT_NE(mod.source.find("->add_span("), std::string::npos);
   // Loader handshake symbols are always present.
   EXPECT_NE(mod.source.find("rdb_abi_version"), std::string::npos);
   EXPECT_NE(mod.source.find("rdb_abi_layout"), std::string::npos);

@@ -9,8 +9,10 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "agca/ast.h"
 #include "compiler/codegen_c.h"
@@ -149,8 +151,8 @@ TEST(CodegenTest, LazyDomainStatementsFallBackToInterpreter) {
 
 TEST(CodegenTest, GroupedVariantDistinctWhenParamsFold) {
   // Revenue shape: the +lineitem statements fold price/qty out of the
-  // grouped rhs, so each groupable statement exports a distinct _g
-  // function next to the plain one.
+  // grouped rhs, so each groupable statement exports a distinct _gw
+  // window next to the plain _w one.
   ring::Catalog catalog = workload::OrdersSchema();
   auto t = sql::TranslateSql(
       catalog,
@@ -164,13 +166,73 @@ TEST(CodegenTest, GroupedVariantDistinctWhenParamsFold) {
   for (const auto& trigger : mod.stmts) {
     for (const CodegenStmt& cs : trigger) {
       if (cs.grouped_fn.empty()) continue;
-      EXPECT_EQ(cs.grouped_fn, cs.fn + "_g");
+      ASSERT_EQ(cs.fn.substr(cs.fn.size() - 2), "_w");
+      EXPECT_EQ(cs.grouped_fn, cs.fn.substr(0, cs.fn.size() - 2) + "_gw");
       any_distinct = true;
       EXPECT_NE(mod.source.find("void " + cs.grouped_fn + "("),
                 std::string::npos);
     }
   }
   EXPECT_TRUE(any_distinct);
+}
+
+// The module's external symbols, read off the emitted source: every
+// definition at column 0 that is not `static` (helpers, loop callbacks
+// and constant pools all are).
+std::vector<std::string> ExternalSymbols(const std::string& source) {
+  std::vector<std::string> out;
+  std::istringstream lines(source);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] == ' ' || line[0] == '#' ||
+        line[0] == '}' || line[0] == '/' || line[0] == '{' ||
+        line.rfind("static ", 0) == 0 || line.rfind("typedef ", 0) == 0) {
+      continue;
+    }
+    // "void name(...) {" or "const T name = ...;"
+    const size_t end = line.find_first_of("(=");
+    if (end == std::string::npos) continue;
+    std::string head = line.substr(0, end);
+    while (!head.empty() && head.back() == ' ') head.pop_back();
+    out.push_back(head.substr(head.find_last_of(' ') + 1));
+  }
+  return out;
+}
+
+TEST(CodegenTest, ModuleExportsOnlyWindowEntryPoints) {
+  // ABI v4: every native statement entry point is a window (`_w` plain,
+  // `_gw` grouped); the only other exports are the loader handshake.
+  ring::Catalog catalog = workload::OrdersSchema();
+  auto t = sql::TranslateSql(
+      catalog,
+      "SELECT o.ckey, SUM(l.price * l.qty) FROM orders o, lineitem l "
+      "WHERE o.okey = l.okey GROUP BY o.ckey");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  auto compiled = Compile(catalog, t->group_vars, t->body);
+  ASSERT_TRUE(compiled.ok());
+  CodegenModule mod = GenerateModule(compiled->program);
+  std::set<std::string> expected = {"rdb_abi_version", "rdb_abi_layout"};
+  for (const auto& trigger : mod.stmts) {
+    for (const CodegenStmt& cs : trigger) {
+      if (!cs.emitted) continue;
+      expected.insert(cs.fn);
+      if (!cs.grouped_fn.empty()) expected.insert(cs.grouped_fn);
+    }
+  }
+  const std::vector<std::string> exported = ExternalSymbols(mod.source);
+  EXPECT_EQ(std::set<std::string>(exported.begin(), exported.end()),
+            expected);
+  EXPECT_EQ(exported.size(), expected.size()) << "duplicate definition";
+  for (const std::string& name : exported) {
+    if (name.rfind("rdb_abi_", 0) == 0) continue;
+    const bool window = name.size() > 2 &&
+                        name.compare(name.size() - 2, 2, "_w") == 0;
+    const bool grouped_window =
+        name.size() > 3 && name.compare(name.size() - 3, 3, "_gw") == 0;
+    EXPECT_TRUE(window || grouped_window) << name;
+  }
+  EXPECT_EQ(mod.source.find("RdbNum scale)"), std::string::npos)
+      << "per-firing entry point shape still emitted";
 }
 
 TEST(CodegenTest, GroupedVariantSharedWhenNothingFolds) {
