@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "compiler/lower.h"
 #include "log/crash_point.h"
@@ -42,12 +43,15 @@ ShardedExecutor::ShardedExecutor(const compiler::TriggerProgram& program,
   }
   // The native module (one emit + compile + dlopen) is shared by every
   // shard, like the lowered program. Only its compile starts here; the
-  // shards run as interpreters until ResolveNative attaches it, which
-  // happens before the first window. Failure to build one is not an
-  // error, it keeps the interpreter (graceful fallback for hosts without
-  // a C compiler and for programs with nothing to emit).
+  // shards run as interpreters until a window boundary's poll finds it
+  // ready and attaches it. Failure to build one is not an error, it
+  // keeps the interpreter (graceful fallback for hosts without a C
+  // compiler and for programs with nothing to emit).
   if (backend == runtime::Backend::kCompile) {
     native_build_ = runtime::NativeModule::Launch(*prog);
+    native_settled_.store(false, std::memory_order_relaxed);
+    native_state_.store(runtime::NativeState::kPending,
+                        std::memory_order_relaxed);
   }
   shards_.reserve(effective);
   for (size_t i = 0; i < effective; ++i) {
@@ -72,21 +76,51 @@ ShardedExecutor::ShardedExecutor(const compiler::TriggerProgram& program,
   }
 }
 
-void ShardedExecutor::ResolveNative() const {
-  std::call_once(native_once_, [this] {
-    if (native_build_ == nullptr) return;
-    auto module = native_build_->Wait();
-    native_build_stats_ = native_build_->stats();
-    native_build_.reset();  // reaped; the module keeps what it needs
-    if (!module.ok()) {
-      native_status_ = module.status();
-      return;
+void ShardedExecutor::Settle(runtime::NativeModule::Result result) const {
+  native_build_stats_ = native_build_->stats();
+  native_build_.reset();  // reaped; the module keeps what it needs
+  if (result.ok()) {
+    native_module_ = std::move(result).value();
+  } else {
+    native_status_ = result.status();
+    native_state_.store(runtime::NativeState::kInterp,
+                        std::memory_order_release);
+  }
+  native_settled_.store(true, std::memory_order_release);
+}
+
+void ShardedExecutor::SettleNative() const {
+  if (native_settled_.load(std::memory_order_acquire)) return;
+  std::lock_guard<std::mutex> lock(native_mu_);
+  if (!native_settled_.load(std::memory_order_relaxed)) {
+    Settle(native_build_->Wait());
+  }
+}
+
+void ShardedExecutor::AttachNativeIfReady() {
+  if (!native_settled_.load(std::memory_order_acquire)) {
+    // A caller blocked in SettleNative holds the lock: leave this window
+    // on the interpreter rather than wait behind it.
+    std::unique_lock<std::mutex> lock(native_mu_, std::try_to_lock);
+    if (!lock.owns_lock()) return;
+    if (!native_settled_.load(std::memory_order_relaxed)) {
+      std::optional<runtime::NativeModule::Result> result =
+          native_build_->Poll();
+      if (!result.has_value()) return;  // cc still running
+      Settle(std::move(*result));
     }
-    for (const auto& shard : shards_) {
-      static_cast<runtime::CompiledExecutor&>(*shard).AttachModule(*module);
-    }
-    native_enabled_ = true;
-  });
+  }
+  if (native_module_ == nullptr) return;  // failed; Settle chose kInterp
+  // Between windows: the workers are parked, and the next generation
+  // handshake publishes the attached module to them.
+  for (const auto& shard : shards_) {
+    static_cast<runtime::CompiledExecutor&>(*shard).AttachModule(
+        native_module_);
+  }
+  native_attach_updates_.store(AggregateStats().updates,
+                               std::memory_order_relaxed);
+  native_state_.store(runtime::NativeState::kNative,
+                      std::memory_order_release);
 }
 
 ShardedExecutor::~ShardedExecutor() {
@@ -283,7 +317,7 @@ void ShardedExecutor::WorkerLoop(size_t shard_idx) {
 
 Status ShardedExecutor::ApplyBatch(const UpdateBatch& batch) {
   if (batch.empty()) return Status::Ok();
-  ResolveNative();
+  PollNative();
   const size_t n = shards_.size();
   ++mutation_epoch_;
   std::fill(shard_work_used_.begin(), shard_work_used_.end(), size_t{0});

@@ -38,6 +38,19 @@
 // StealMode::kForced makes every worker prefer other shards' tokens,
 // StealMode::kDisabled pins workers to their own shard — the
 // differential suite asserts bit-identical results either way.
+//
+// Tiered backend. With Backend::kCompile the native module build is
+// launched at construction (emit C, start cc; runtime/native_module.h)
+// and the shards run as interpreters meanwhile. Each window (Apply,
+// ApplyBatch) starts with a non-blocking poll on the owning thread: once
+// the compiler has exited — or the module came from the cache — the poll
+// reaps it, dlopens the module and attaches it to every shard, at most
+// once, so the engine switches from interpreter to native between two
+// windows. The switch is exact: views are host-owned and shared by both
+// backends, and every statement computes the same view deltas and the
+// same semantic counters whichever backend runs it (the ring axioms fix
+// the result of each window, not the code that evaluates it), so state
+// built by interpreted windows is the state native windows continue.
 
 #ifndef RINGDB_EXEC_SHARDED_EXECUTOR_H_
 #define RINGDB_EXEC_SHARDED_EXECUTOR_H_
@@ -80,10 +93,9 @@ class ShardedExecutor {
   // effective shard count drops to 1 when num_shards <= 1 or the scheme
   // is invalid; worker threads are only spawned for > 1 effective shards.
   // With backend == kCompile the program's native module build is
-  // launched here (emit C, start cc — see runtime/native_module.h) and
-  // resolved by ResolveNative (reap cc, dlopen, attach to every shard);
-  // when the build fails (no host compiler, nothing emittable) the shards
-  // stay interpreters and native_status() says why.
+  // launched here and attached by a later window's poll (see the file
+  // comment); when the build fails (no host compiler, nothing emittable)
+  // the shards stay interpreters and native_status() says why.
   ShardedExecutor(const compiler::TriggerProgram& program,
                   PartitionScheme scheme, size_t num_shards,
                   runtime::Backend backend = runtime::Backend::kInterpret);
@@ -95,36 +107,46 @@ class ShardedExecutor {
   size_t num_shards() const { return shards_.size(); }
   const PartitionScheme& scheme() const { return scheme_; }
 
-  // Waits for the launched native build (if any) and attaches the module
-  // to every shard, or records why it failed. Idempotent and thread-safe;
-  // runs implicitly before the first window and before any of the
-  // backend queries below, so the backend is fixed before any state
-  // exists. serve::QueryService calls it up front in Start() so every
-  // registered query's compile overlaps the others'.
-  void ResolveNative() const;
+  // Blocks until the launched native build (if any) has settled: reaps
+  // the compiler, dlopens and resolves the module, or records why that
+  // failed. The module is attached by the owning thread's next window
+  // boundary, never here. Thread-safe and idempotent.
+  void SettleNative() const;
 
-  // True when the shards dispatch (at least some) statements into a
-  // dlopen'd native module rather than the bytecode interpreter.
+  // True when the build produced a module, so the shards dispatch (at
+  // least some) statements into native code from the next window on.
+  // Waits for the build, like native_status(); any thread.
   bool native_enabled() const {
-    ResolveNative();
-    return native_enabled_;
+    SettleNative();
+    return native_module_ != nullptr;
   }
   // Why the compiled backend is off (Ok while native_enabled() or when it
-  // was never requested).
+  // was never requested). Waits for the build; any thread.
   const Status& native_status() const {
-    ResolveNative();
+    SettleNative();
     return native_status_;
   }
-  // The native build's export (zero when none was launched).
-  const runtime::NativeBuildStats& native_build_stats() const {
-    ResolveNative();
+  // The backend as of now, without waiting; any thread.
+  runtime::NativeState native_state() const {
+    return native_state_.load(std::memory_order_acquire);
+  }
+  // Updates (input tuple-units, Executor::Stats::updates summed over the
+  // shards) the interpreter applied before the module was attached; 0
+  // until then. Any thread.
+  uint64_t native_attach_updates() const {
+    return native_attach_updates_.load(std::memory_order_acquire);
+  }
+  // The native build's export: zeros until the build settled, and when
+  // none was launched. Never waits; any thread.
+  runtime::NativeBuildStats native_build_stats() const {
+    if (!native_settled_.load(std::memory_order_acquire)) return {};
     return native_build_stats_;
   }
 
   // Single-tuple path: a batch of one, routed and applied inline on the
   // owning shard (no worker handoff, no morsels).
   Status Apply(const ring::Update& update) {
-    ResolveNative();
+    PollNative();
     ++mutation_epoch_;
     return shards_[ShardOf(update.relation, update.values)]->ApplyDelta(
         update.relation, update.values, update.SignedUnit());
@@ -225,7 +247,6 @@ class ShardedExecutor {
   // see statistically identical slices, so one shard is representative).
   void CollectDispatch(
       std::vector<runtime::Executor::StmtDispatch>* out) const {
-    ResolveNative();
     shards_[0]->CollectDispatch(out);
   }
   void ResetStats();
@@ -302,6 +323,19 @@ class ShardedExecutor {
     return slice;
   }
 
+  // Window-boundary poll, owning thread only: attaches the module once
+  // the build is ready. The interpreter path (and every window after the
+  // switch) pays one relaxed load.
+  void PollNative() {
+    if (native_state_.load(std::memory_order_relaxed) ==
+        runtime::NativeState::kPending) {
+      AttachNativeIfReady();
+    }
+  }
+  void AttachNativeIfReady();
+  // native_mu_ held: publishes the settled build and drops the Pending.
+  void Settle(runtime::NativeModule::Result result) const;
+
   void WorkerLoop(size_t shard_idx);
   // Single-shard fast path: the whole window, no morsels, no atomics.
   void RunShardWhole(size_t shard_idx);
@@ -321,14 +355,24 @@ class ShardedExecutor {
 
   PartitionScheme scheme_;
   std::vector<std::unique_ptr<runtime::Executor>> shards_;
-  // Native build state, settled once by ResolveNative (mutable: resolving
-  // is logically const — the backend is fixed by construction, only its
-  // arrival is deferred).
-  mutable std::once_flag native_once_;
+  // Native build state. native_mu_ serializes every use of
+  // native_build_: SettleNative holds it while blocked on the compiler,
+  // the window poll only try-locks it, so a window never queues behind a
+  // waiting caller. The settled build (module or error, build stats) is
+  // written once before native_settled_ is released and read only after
+  // acquiring it. native_state_ moves kPending -> kNative (the owner's
+  // attach) or kPending -> kInterp (a failed build). Mutable: settling is
+  // logically const — the backend is chosen at construction, only the
+  // module's arrival is deferred.
+  mutable std::mutex native_mu_;
   mutable std::unique_ptr<runtime::NativeModule::Pending> native_build_;
-  mutable bool native_enabled_ = false;
+  mutable std::atomic<bool> native_settled_{true};
+  mutable std::shared_ptr<const runtime::NativeModule> native_module_;
   mutable Status native_status_ = Status::Ok();
   mutable runtime::NativeBuildStats native_build_stats_;
+  mutable std::atomic<runtime::NativeState> native_state_{
+      runtime::NativeState::kInterp};
+  std::atomic<uint64_t> native_attach_updates_{0};
 
   // ForEachRootMerged scratch (mutable: merge-on-read is logically
   // const). Reused across calls, guarded by merge_mu_; see the method

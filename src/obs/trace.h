@@ -21,6 +21,10 @@
 //    apply/publish sub-span — so there are no write-write races, and
 //    the relaxed stores keep the hot path at one vDSO clock read plus
 //    one store per stage edge.
+//  - AddSpan claims a span index with fetch_add, writes the span, then
+//    tags it with the window's seq (release); Export() reads only spans
+//    whose tag names the window, so a claimed-but-unwritten span or a
+//    stale one from the slot's previous window never pairs fields.
 //  - FinishWindow(seq) publishes finished=seq (release). Export()
 //    re-checks started after copying a slot (acquire fences on both
 //    reads) and discards slots whose frame changed mid-copy; a slot
@@ -149,6 +153,10 @@ class TraceRecorder {
 
  private:
   struct SpanSlot {
+    // The window that wrote the payload below, stored (release) after it;
+    // BeginWindow leaves span slots as they are, so this tag is what
+    // separates a published span from a claimed or recycled one.
+    std::atomic<uint64_t> seq{0};
     std::atomic<uint64_t> meta{0};  // kind | query<<8 | shard<<24 | mode<<40
     std::atomic<uint64_t> begin_ns{0};
     std::atomic<uint64_t> end_ns{0};

@@ -34,8 +34,8 @@
 // their interpreter implementation, and until a module is attached — or
 // when none could be built (no host C compiler) — the executor is the
 // plain interpreter. ShardedExecutor builds one module per program,
-// attaches it to every shard before the first window, and records any
-// build failure in native_status().
+// attaches it to every shard at the first window boundary after the
+// build is ready, and records any build failure in native_status().
 
 #ifndef RINGDB_RUNTIME_COMPILED_EXECUTOR_H_
 #define RINGDB_RUNTIME_COMPILED_EXECUTOR_H_
@@ -62,14 +62,33 @@ enum class Backend {
                // wholesale when no host compiler is available
 };
 
+// Where an engine's native backend stands (EngineStats::native_state).
+// A kCompile engine starts kPending and moves once, at a window boundary,
+// to kNative (module attached) or kInterp (the build failed); an
+// interpreter engine is kInterp throughout.
+enum class NativeState : uint8_t { kInterp, kPending, kNative };
+
+inline const char* NativeStateName(NativeState state) {
+  switch (state) {
+    case NativeState::kPending:
+      return "pending";
+    case NativeState::kNative:
+      return "native";
+    default:
+      return "interp";
+  }
+}
+
 class CompiledExecutor : public Executor {
  public:
   explicit CompiledExecutor(compiler::TriggerProgram program);
 
-  // Switches the emitted statements to native windows. `module` must have
-  // been built from (a program lowered identically to) this executor's
-  // program; ShardedExecutor builds it once and shares it across shards.
-  // Call before the first window.
+  // Switches the emitted statements to native windows from the next
+  // window on. `module` must have been built from (a program lowered
+  // identically to) this executor's program; ShardedExecutor builds it
+  // once and attaches it to every shard between two windows, at most
+  // once. Views are host-owned and backend-agnostic, so the windows
+  // already applied by the interpreter need no conversion.
   void AttachModule(std::shared_ptr<const NativeModule> module);
 
   void CollectDispatch(std::vector<StmtDispatch>* out) const override;

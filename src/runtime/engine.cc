@@ -139,8 +139,10 @@ Engine::EngineStats Engine::Stats() const {
   out.totals = sharded_->AggregateStats();
   out.approx_bytes = sharded_->ApproxBytes();
   out.num_shards = sharded_->num_shards();
-  out.native_enabled = sharded_->native_enabled();
-  const NativeBuildStats& build = sharded_->native_build_stats();
+  out.native_state = sharded_->native_state();
+  out.native_enabled = out.native_state == NativeState::kNative;
+  out.native_attach_updates = sharded_->native_attach_updates();
+  const NativeBuildStats build = sharded_->native_build_stats();
   out.native_build_ms = build.build_ms;
   out.native_wait_ms = build.wait_ms;
   out.native_source_bytes = build.source_bytes;
@@ -185,7 +187,7 @@ std::string Engine::StatsText() const {
   const EngineStats st = Stats();
   std::string out;
   out += "engine: shards=" + std::to_string(st.num_shards) +
-         " backend=" + (st.native_enabled ? "native" : "interp") +
+         " backend=" + NativeStateName(st.native_state) +
          " approx_bytes=" + std::to_string(st.approx_bytes) +
          " updates=" + std::to_string(st.totals.updates) +
          " statements_run=" + std::to_string(st.totals.statements_run) +
@@ -193,14 +195,16 @@ std::string Engine::StatsText() const {
          " morsels_run=" + std::to_string(st.morsels_run) +
          " morsels_stolen=" + std::to_string(st.morsels_stolen) + "\n";
   if (options_.backend == Backend::kCompile) {
-    char build[160];
+    char build[224];
     std::snprintf(build, sizeof(build),
                   "native_build: build_ms=%.1f wait_ms=%.1f "
-                  "source_bytes=%llu entry_points=%llu cache_hit=%d\n",
+                  "source_bytes=%llu entry_points=%llu cache_hit=%d "
+                  "attach_updates=%llu\n",
                   st.native_build_ms, st.native_wait_ms,
                   static_cast<unsigned long long>(st.native_source_bytes),
                   static_cast<unsigned long long>(st.native_entry_points),
-                  st.native_cache_hit ? 1 : 0);
+                  st.native_cache_hit ? 1 : 0,
+                  static_cast<unsigned long long>(st.native_attach_updates));
     out += build;
   }
   auto span = [&](const char* name, const obs::HistogramSnapshot& s) {
@@ -264,6 +268,10 @@ std::string Engine::StatsJson(int indent) const {
   out += pad + "  \"native_enabled\": " +
          (st.native_enabled ? std::string("true") : std::string("false")) +
          ",\n";
+  out += pad + "  \"native_state\": \"" + NativeStateName(st.native_state) +
+         "\",\n";
+  out += pad + "  \"native_attach_updates\": " +
+         std::to_string(st.native_attach_updates) + ",\n";
   out += pad + "  \"approx_bytes\": " + std::to_string(st.approx_bytes) +
          ",\n";
   char build[256];

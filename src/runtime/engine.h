@@ -20,6 +20,14 @@
 // runtime/compiled_executor.h). The single-tuple Apply is a batch of one
 // routed to its owning shard, so all APIs share one execution path.
 //
+// Backend lifecycle (kCompile): Create launches the host compiler and
+// returns at once; windows run on the interpreter while cc runs, each
+// window boundary polls the build without blocking, and the first poll
+// that finds it ready attaches the module, at most once. The switch is
+// exact because results and semantic counters do not depend on which
+// backend applied a window. native_enabled()/native_status() wait for
+// the build; Stats() never does and reports native_state instead.
+//
 // Thread safety: Engine is single-writer. Apply/ApplyBatch/ApplyPrepared
 // must not run concurrently with each other or with the result accessors
 // (ResultScalar/ResultAt/ResultGmr), which read the live view hierarchy
@@ -65,9 +73,10 @@ struct EngineOptions {
   // source hash), and dlopens the result; statements the emitter cannot
   // handle (lazy domain maintenance) and hosts without a compiler fall
   // back to the interpreter transparently — results are identical either
-  // way (Engine::native_enabled reports what actually engaged). Prefer
-  // kInterpret for short-lived engines and tiny streams, where the
-  // one-time cc invocation costs more than it saves.
+  // way (Engine::native_enabled reports what actually engaged). The
+  // compile never blocks ingest: windows run on the interpreter until the
+  // module is ready. Prefer kInterpret for short-lived engines and tiny
+  // streams, where the one-time cc invocation costs more than it saves.
   Backend backend = Backend::kInterpret;
 };
 
@@ -156,10 +165,10 @@ class Engine {
   const exec::PartitionScheme& partition_scheme() const {
     return sharded_->scheme();
   }
-  // True when backend == kCompile actually engaged: statements dispatch
-  // into the dlopen'd native module instead of the bytecode interpreter.
-  // Create only launches the host compiler; this (like native_status,
-  // Stats and the first apply) waits for it.
+  // True when backend == kCompile engaged: statements dispatch into the
+  // dlopen'd native module instead of the bytecode interpreter from the
+  // next window on. Create only launches the host compiler; this (like
+  // native_status) waits for it. Safe from any thread.
   bool native_enabled() const { return sharded_->native_enabled(); }
   // Why the compiled backend is off (Ok when on or never requested) —
   // e.g. "no host C compiler found" in sandboxed CI.
@@ -184,12 +193,19 @@ class Engine {
     std::vector<StmtStats> statements;    // by stmt_id
     size_t approx_bytes = 0;              // all views, all shards
     size_t num_shards = 0;
+    // The backend as of this read (no waiting): pending while cc runs,
+    // native once the module is attached, interp otherwise.
+    // native_enabled == (native_state == kNative).
+    NativeState native_state = NativeState::kInterp;
     bool native_enabled = false;
-    // The native module build (zeros on the interpreter backend): wall
-    // time from launch to resolved, how long the resolver blocked (less
-    // than build_ms when the compile overlapped other work), emitted C
-    // size, window entry points resolved, and whether a cached .so
-    // spared the compiler.
+    // Updates (input tuple-units) applied on the interpreter before the
+    // module was attached; recorded once, at the attach.
+    uint64_t native_attach_updates = 0;
+    // The native module build (zeros on the interpreter backend and until
+    // the build settled): wall time from launch to resolved, how long a
+    // caller blocked on the compiler (0 when only window polls settled
+    // it), emitted C size, window entry points resolved, and whether a
+    // cached .so spared the compiler.
     double native_build_ms = 0;
     double native_wait_ms = 0;
     uint64_t native_source_bytes = 0;

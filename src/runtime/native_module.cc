@@ -184,12 +184,13 @@ Status NativeModule::Pending::Spawn() {
   return Status::Ok();
 }
 
-Status NativeModule::Pending::Reap() {
+std::optional<Status> NativeModule::Pending::Reap(bool block) {
   int wstatus = 0;
   pid_t r;
   do {
-    r = ::waitpid(pid_, &wstatus, 0);
+    r = ::waitpid(pid_, &wstatus, block ? 0 : WNOHANG);
   } while (r < 0 && errno == EINTR);
+  if (r == 0) return std::nullopt;  // WNOHANG: still compiling
   pid_ = -1;
   std::error_code ec;
   if (r < 0 || !WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0) {
@@ -209,41 +210,44 @@ Status NativeModule::Pending::Reap() {
 }
 
 NativeModule::Pending::~Pending() {
-  if (pid_ >= 0) (void)Reap();
+  if (pid_ >= 0) (void)Reap(/*block=*/true);
 }
 
-StatusOr<std::shared_ptr<const NativeModule>> NativeModule::Pending::Wait() {
-  const uint64_t t0 = NowNs();
-  auto module = Finish();
-  const uint64_t t1 = NowNs();
-  stats_.wait_ms = static_cast<double>(t1 - t0) / 1e6;
-  stats_.build_ms = static_cast<double>(t1 - launch_ns_) / 1e6;
-  if (!module.ok()) return module.status();
-  stats_.cache_hit = cached_;
-  return std::shared_ptr<const NativeModule>(std::move(module).value());
-}
-
-StatusOr<std::shared_ptr<NativeModule>> NativeModule::Pending::Finish() {
-  RINGDB_RETURN_IF_ERROR(status_);
-  if (pid_ >= 0) RINGDB_RETURN_IF_ERROR(Reap());
-  auto loaded = LoadAndResolve(so_, gen_, &stats_.entry_points);
-  if (!loaded.ok() && cached_) {
-    // The cache lied: the hash-keyed name promised a loadable module for
-    // this exact source, but the artifact would not dlopen, failed the
-    // ABI handshake (a module from an older ABI), or is missing symbols
-    // (truncated or bit-rotted file, cache shared with an incompatible
-    // build). Evict it and pay the compile once — never surface a
-    // corrupt cache entry as an engine-construction error.
-    std::error_code ec;
-    fs::remove(so_, ec);
-    cached_ = false;
-    RINGDB_RETURN_IF_ERROR(Spawn());
-    RINGDB_RETURN_IF_ERROR(Reap());
-    loaded = LoadAndResolve(so_, gen_, &stats_.entry_points);
+std::optional<NativeModule::Result> NativeModule::Pending::Step(bool block) {
+  if (pid_ >= 0) {
+    const uint64_t t0 = NowNs();
+    std::optional<Status> reaped = Reap(block);
+    if (block) stats_.wait_ms += static_cast<double>(NowNs() - t0) / 1e6;
+    if (!reaped.has_value()) return std::nullopt;
+    status_ = std::move(*reaped);
   }
-  if (!loaded.ok()) return loaded.status();
-  (*loaded)->source_ = std::move(gen_.source);
-  return loaded;
+  std::shared_ptr<NativeModule> module;
+  if (status_.ok()) {
+    auto loaded = LoadAndResolve(so_, gen_, &stats_.entry_points);
+    if (!loaded.ok() && cached_) {
+      // The cache lied: the hash-keyed name promised a loadable module
+      // for this exact source, but the artifact would not dlopen, failed
+      // the ABI handshake (a module from an older ABI), or is missing
+      // symbols (truncated or bit-rotted file, cache shared with an
+      // incompatible build). Evict it and pay the compile once — never
+      // surface a corrupt cache entry as an engine-construction error.
+      std::error_code ec;
+      fs::remove(so_, ec);
+      cached_ = false;
+      status_ = Spawn();
+      return Step(block);
+    }
+    if (loaded.ok()) {
+      module = std::move(loaded).value();
+    } else {
+      status_ = loaded.status();
+    }
+  }
+  stats_.build_ms = static_cast<double>(NowNs() - launch_ns_) / 1e6;
+  if (!status_.ok()) return Result(status_);
+  stats_.cache_hit = cached_;
+  module->source_ = std::move(gen_.source);
+  return Result(std::shared_ptr<const NativeModule>(std::move(module)));
 }
 
 StatusOr<std::shared_ptr<NativeModule>> NativeModule::LoadAndResolve(

@@ -3,11 +3,14 @@
 // compiler (`cc -O2 -shared -fPIC`), dlopen the result, and resolve the
 // window entry points of every emitted statement.
 //
-// A build runs in two steps so several queries' compiles overlap:
+// A build runs in two steps so no caller has to wait on the compiler:
 // Launch() emits the source and starts the compiler as a child process
-// (posix_spawn, no shell) without waiting; Pending::Wait() reaps it,
-// dlopens the module and resolves its symbols. Callers launch as soon as
-// a query is registered and wait only before its first window.
+// (posix_spawn, no shell) without waiting; Pending::Poll() checks without
+// blocking whether it has exited (or was never needed: a cache hit) and
+// if so reaps it, dlopens the module and resolves its symbols, while
+// Pending::Wait() does the same but blocks until the compiler exits.
+// Engines launch when a query is registered, poll at each window
+// boundary and keep running on the interpreter until the poll succeeds.
 //
 // Shared objects are cached by source hash under a per-user build
 // directory, so repeated engine construction for the same query (every
@@ -38,6 +41,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,10 +54,10 @@ namespace ringdb {
 namespace runtime {
 
 // Where one module build's time and bytes went (exported per engine by
-// Engine::Stats). Recorded once, by Pending::Wait.
+// Engine::Stats). Recorded once, when Poll or Wait settles the build.
 struct NativeBuildStats {
   double build_ms = 0;        // wall time from Launch to resolved
-  double wait_ms = 0;         // how long Wait actually blocked
+  double wait_ms = 0;         // how long Wait blocked on the compiler
   uint64_t source_bytes = 0;  // emitted C
   uint64_t entry_points = 0;  // window symbols resolved
   bool cache_hit = false;     // a cached .so loaded; no compiler ran
@@ -73,19 +77,28 @@ class NativeModule {
     bool grouped_prefer_native = true;
   };
 
-  // A build in flight. Destroying it before Wait reaps the compiler
-  // (blocking until it exits) and publishes or removes its temp files,
-  // so no child process or temp artifact outlives it.
+  // A settled build: the loaded module, or why there is none.
+  using Result = StatusOr<std::shared_ptr<const NativeModule>>;
+
+  // A build in flight. Destroying it before it settled reaps the
+  // compiler (blocking until it exits) and publishes or removes its temp
+  // files, so no child process or temp artifact outlives it. Not
+  // thread-safe: callers serialize Poll/Wait/destruction, and call
+  // neither again once one returned a result.
   class Pending {
    public:
     ~Pending();
     Pending(const Pending&) = delete;
     Pending& operator=(const Pending&) = delete;
 
-    // Reaps the compiler, dlopens and resolves. Errors (no emittable
-    // statements, no host compiler, compile/dlopen failure, ABI
-    // mismatch) are returned, never fatal. Call at most once.
-    StatusOr<std::shared_ptr<const NativeModule>> Wait();
+    // Never blocks on the compiler: nullopt while it still runs (also
+    // right after a stale cached module was evicted and its rebuild
+    // started); otherwise the settled build, as Wait returns it.
+    std::optional<Result> Poll() { return Step(/*block=*/false); }
+    // Blocks until the compiler exits, then reaps it, dlopens and
+    // resolves. Errors (no emittable statements, no host compiler,
+    // compile/dlopen failure, ABI mismatch) are returned, never fatal.
+    Result Wait() { return *Step(/*block=*/true); }
     const NativeBuildStats& stats() const { return stats_; }
 
    private:
@@ -94,12 +107,14 @@ class NativeModule {
 
     // Writes the source and spawns the compiler into a temp .so.
     Status Spawn();
-    // Waits for the spawned compiler and renames its output into place.
-    Status Reap();
-    StatusOr<std::shared_ptr<NativeModule>> Finish();
+    // Reaps the spawned compiler and renames its output into place;
+    // nullopt when `block` is false and the compiler still runs.
+    std::optional<Status> Reap(bool block);
+    // Reap (if a compiler runs), then load; see Poll/Wait.
+    std::optional<Result> Step(bool block);
 
     compiler::CodegenModule gen_;
-    Status status_ = Status::Ok();  // launch error, reported by Wait
+    Status status_ = Status::Ok();  // launch/compile error, reported once settled
     std::string cc_;
     std::string src_, so_, tmp_so_, log_;
     pid_t pid_ = -1;  // running compiler, or -1

@@ -168,10 +168,10 @@ void QueryService::RecoverDurability() {
 
 void QueryService::Start() {
   RINGDB_CHECK(!started_ && !stopped_);
-  // Every registered query launched its native compile at registration,
-  // so the compiles ran side by side; settle them all before recovery
-  // replays a window or the batcher applies one.
-  for (auto& query : queries_) query->engine->sharded().ResolveNative();
+  // Every registered query launched its native compile at registration.
+  // Nothing here waits for it: recovery replay and the first windows run
+  // on the interpreter, and each engine attaches its module at the first
+  // window boundary after its compiler exits.
   RecoverDurability();  // before any thread exists; engines are quiescent
   // Shard-owned publication from here on: each shard freezes its root
   // sub-snapshot at window end (under its token), so snapshot builds
@@ -521,6 +521,9 @@ QueryService::ServiceStats QueryService::Stats() const {
     qs.snapshot_version = query->snapshot.load()->version();
     qs.windows_applied = query->windows_applied.Value();
     qs.windows_skipped = query->windows_skipped.Value();
+    const exec::ShardedExecutor& sharded = query->engine->sharded();
+    qs.native_state = sharded.native_state();
+    qs.native_attach_updates = sharded.native_attach_updates();
     // The global epoch is read after the per-query ones, so a racing
     // window can only make staleness look larger, never negative — but
     // clamp anyway (a query may also observe its own window before the
@@ -582,12 +585,15 @@ std::string QueryService::StatsText() const {
     out += "\n";
   }
   TablePrinter table({"query", "version", "windows_applied",
-                      "windows_skipped", "staleness"});
+                      "windows_skipped", "staleness", "backend",
+                      "attach_updates"});
   for (const QueryStats& q : st.queries) {
     table.AddRow({q.name, std::to_string(q.snapshot_version),
                   std::to_string(q.windows_applied),
                   std::to_string(q.windows_skipped),
-                  std::to_string(q.staleness_windows)});
+                  std::to_string(q.staleness_windows),
+                  runtime::NativeStateName(q.native_state),
+                  std::to_string(q.native_attach_updates)});
   }
   out += table.Render();
   return out;
@@ -658,7 +664,10 @@ std::string QueryService::StatsJson(int indent) const {
            ", \"windows_applied\": " + std::to_string(q.windows_applied) +
            ", \"windows_skipped\": " + std::to_string(q.windows_skipped) +
            ", \"staleness_windows\": " +
-           std::to_string(q.staleness_windows) + "}";
+           std::to_string(q.staleness_windows) + ", \"native_state\": \"" +
+           runtime::NativeStateName(q.native_state) +
+           "\", \"native_attach_updates\": " +
+           std::to_string(q.native_attach_updates) + "}";
     out += (i + 1 < st.queries.size()) ? ",\n" : "\n";
   }
   out += pad + "  ]\n" + pad + "}";

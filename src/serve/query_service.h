@@ -121,9 +121,11 @@ class QueryService {
                              agca::ExprPtr body);
   StatusOr<QueryId> RegisterSql(std::string name, const std::string& sql);
 
-  // Spawns the batcher and per-query worker threads; freezes
-  // registration. Snapshots (version 0, empty result) are readable even
-  // before Start.
+  // Recovers durable state, then spawns the batcher and per-query worker
+  // threads; freezes registration. Never waits for a query's native
+  // compile (ServeOptions::backend): windows run on the interpreter until
+  // each engine attaches its module at a window boundary. Snapshots
+  // (version 0, empty result) are readable even before Start.
   void Start();
 
   // Enqueues one update. Validated against the catalog here so the
@@ -216,6 +218,10 @@ class QueryService {
     int64_t windows_applied = 0;     // relevant windows applied
     int64_t windows_skipped = 0;     // disjoint windows skipped
     int64_t staleness_windows = 0;   // global windows not yet reflected
+    // The engine's backend (EngineStats::native_state): pending while the
+    // query's compile runs, native once a window boundary attached it.
+    runtime::NativeState native_state = runtime::NativeState::kInterp;
+    uint64_t native_attach_updates = 0;  // interpreted before the attach
   };
   struct ServiceStats {
     uint64_t pushed = 0;             // accepted Push calls

@@ -7,6 +7,10 @@
 // constructions, evict stale or corrupt cached modules, reap a compile
 // still in flight when its engine dies, and plumb through
 // serve::QueryService with every registered query's compile overlapped.
+// The tiered contract runs against a deliberately slow compiler: Start()
+// and the first windows never wait on it, windows run on the interpreter
+// until one window boundary attaches the module, and results and
+// semantic counters are exact across that switch.
 //
 // On hosts without any C compiler the native-path tests skip; setting
 // RINGDB_EXPECT_NATIVE=1 (the release CI job does) turns those skips
@@ -17,15 +21,19 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
+#include "baseline/baselines.h"
 #include "runtime/engine.h"
 #include "serve/query_service.h"
 #include "sql/translate.h"
@@ -405,72 +413,397 @@ TEST(NativeBackendTest, DestroyingPendingBuildReapsCompiler) {
   }
 }
 
-TEST(NativeBackendTest, ServiceOverlapsQueryCompilesBeforeFirstWindow) {
-  // Two compiled queries on one service, on an empty cache: both
-  // compiles run side by side from registration, Start() settles both,
-  // and both are native from the first window on. Results match an
-  // interpreted twin per query.
-  ScopedCacheDir cache;
+// ---- Tiered backend: serve on the interpreter while cc runs -----------
+
+constexpr int kSlowCompileS = 2;
+
+bool HasHostCc() { return std::system("command -v cc >/dev/null 2>&1") == 0; }
+
+// A host compiler that sleeps kSlowCompileS seconds and then runs `then`
+// ("exec cc \"$@\"" compiles, "exit 1" fails): a shell script RINGDB_CC
+// points at for the object's lifetime, with a fresh module cache so the
+// build really runs.
+class SlowCompiler {
+ public:
+  explicit SlowCompiler(const char* then)
+      : script_(WriteScript(cache_.path() + "/slow-cc.sh", then)),
+        cc_("RINGDB_CC", script_.c_str()) {}
+  const std::string& script() const { return script_; }
+  const std::string& cache_dir() const { return cache_.path(); }
+
+ private:
+  static std::string WriteScript(std::string path, const char* then) {
+    std::ofstream(path) << "#!/bin/sh\nsleep " << kSlowCompileS << "\n"
+                        << then << "\n";
+    std::filesystem::permissions(path, std::filesystem::perms::owner_all);
+    return path;
+  }
+
+  ScopedCacheDir cache_;
+  std::string script_;
+  ScopedEnv cc_;
+};
+
+const std::vector<std::string>& TieredSqls() {
+  static const std::vector<std::string> sqls = {
+      "SELECT o.ckey, SUM(l.price * l.qty) FROM orders o, lineitem l "
+      "WHERE o.okey = l.okey GROUP BY o.ckey",
+      "SELECT o.ckey, SUM(1) FROM orders o GROUP BY o.ckey"};
+  return sqls;
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+bool AnyPending(const serve::QueryService& service) {
+  for (const auto& q : service.Stats().queries) {
+    if (q.native_state == runtime::NativeState::kPending) return true;
+  }
+  return false;
+}
+
+// Pushes windows of `window` updates from `begin` on (each drained before
+// the next) while any query's build is pending, pausing between windows
+// so the compile lands mid-stream, then `after` more windows. Returns the
+// end of the pushed prefix.
+size_t StreamAcrossAttach(serve::QueryService& service,
+                          const std::vector<Update>& updates, size_t begin,
+                          size_t window, int after) {
+  size_t next = begin;
+  auto push_window = [&] {
+    for (const size_t end = next + window; next < end; ++next) {
+      EXPECT_TRUE(service.Push(updates[next]).ok());
+    }
+    service.Drain();
+  };
+  while (AnyPending(service) && next + window <= updates.size()) {
+    push_window();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  for (int w = 0; w < after && next + window <= updates.size(); ++w) {
+    push_window();
+  }
+  return next;
+}
+
+void ExpectSameStatementCounters(const Engine& a, const Engine& b) {
+  const Engine::EngineStats sa = a.Stats();
+  const Engine::EngineStats sb = b.Stats();
+  ASSERT_EQ(sa.statements.size(), sb.statements.size());
+  for (size_t i = 0; i < sa.statements.size(); ++i) {
+    const Engine::StmtStats& x = sa.statements[i];
+    const Engine::StmtStats& y = sb.statements[i];
+    SCOPED_TRACE(x.label);
+    EXPECT_EQ(x.counters.invocations, y.counters.invocations);
+    EXPECT_EQ(x.counters.loop_iterations, y.counters.loop_iterations);
+    EXPECT_EQ(x.counters.probes, y.counters.probes);
+    EXPECT_EQ(x.counters.emissions, y.counters.emissions);
+  }
+}
+
+TEST(NativeBackendTest, ServiceServesOnInterpreterUntilCompilesLand) {
+  // Two compiled queries on one service, with a compiler that sleeps
+  // before compiling: Start() returns at once, the first windows run on
+  // the interpreter while both compiles run side by side, and each engine
+  // switches to its module at one window boundary. Results match an
+  // interpreted twin fed the same windows and the AGCA oracle; semantic
+  // counters match the twin's.
+  if (!HasHostCc()) {
+    ASSERT_FALSE(ExpectNative()) << "no cc on PATH";
+    GTEST_SKIP() << "no host C compiler";
+  }
+  SlowCompiler slow("exec cc \"$@\"");
   ring::Catalog catalog = workload::OrdersSchema();
   serve::ServeOptions options;
   options.batch_size = 32;
   options.backend = Backend::kCompile;
   options.trace_windows = 4096;  // retain every window, the first included
+  const auto t0 = std::chrono::steady_clock::now();
   serve::QueryService service(catalog, options);
-  const std::vector<std::string> sqls = {
-      "SELECT o.ckey, SUM(l.price * l.qty) FROM orders o, lineitem l "
-      "WHERE o.okey = l.okey GROUP BY o.ckey",
-      "SELECT o.ckey, SUM(1) FROM orders o GROUP BY o.ckey"};
   std::vector<serve::QueryId> ids;
-  for (size_t i = 0; i < sqls.size(); ++i) {
-    auto id = service.RegisterSql("q" + std::to_string(i), sqls[i]);
+  for (size_t i = 0; i < TieredSqls().size(); ++i) {
+    auto id = service.RegisterSql("q" + std::to_string(i), TieredSqls()[i]);
     ASSERT_TRUE(id.ok()) << id.status().ToString();
     ids.push_back(*id);
   }
   service.Start();
-  std::vector<Update> updates = RevenueStream(catalog, 600);
-  for (const Update& u : updates) ASSERT_TRUE(service.Push(u).ok());
-  service.Drain();
+  EXPECT_LT(SecondsSince(t0), kSlowCompileS / 2.0)
+      << "Start() waited on the compiler";
+  for (const auto& q : service.Stats().queries) {
+    EXPECT_EQ(q.native_state, runtime::NativeState::kPending) << q.name;
+  }
+
+  const std::vector<Update> updates = RevenueStream(catalog, 32 * 400);
+  const size_t pushed = StreamAcrossAttach(service, updates, 0, 32, 8);
   service.Stop();
   ASSERT_TRUE(service.status().ok()) << service.status().ToString();
+  const std::vector<Update> applied(updates.begin(),
+                                    updates.begin() + pushed);
+
+  // The windows as the batcher cut them, for the interpreted twins.
+  const std::vector<obs::WindowTrace> windows = service.TraceWindows();
+  size_t traced = 0;
+  for (const obs::WindowTrace& w : windows) traced += w.events;
+  ASSERT_EQ(traced, pushed) << "trace ring dropped windows";
 
   for (size_t i = 0; i < ids.size(); ++i) {
-    SCOPED_TRACE(sqls[i]);
+    SCOPED_TRACE(TieredSqls()[i]);
     const Engine& engine = service.engine(ids[i]);
-    if (!engine.native_enabled()) {
-      ASSERT_FALSE(ExpectNative()) << engine.native_status().ToString();
-      GTEST_SKIP() << engine.native_status().ToString();
-    }
+    ASSERT_TRUE(engine.native_enabled()) << engine.native_status().ToString();
     const Engine::EngineStats st = engine.Stats();
+    EXPECT_EQ(st.native_state, runtime::NativeState::kNative);
     EXPECT_FALSE(st.native_cache_hit);
-    EXPECT_GT(st.native_source_bytes, 0u);
     EXPECT_GT(st.native_entry_points, 0u);
-    EXPECT_GT(st.native_build_ms, 0.0);
-    EXPECT_LE(st.native_wait_ms, st.native_build_ms);
+    EXPECT_GE(st.native_build_ms, kSlowCompileS * 1000.0);
+    EXPECT_EQ(st.native_wait_ms, 0.0) << "a caller blocked on the compiler";
+    EXPECT_GT(st.native_attach_updates, 0u);
+    EXPECT_LT(st.native_attach_updates, st.totals.updates);
 #ifndef RINGDB_NO_METRICS
     EXPECT_GT(NativeCalls(engine), 0u);
-    // The first window's shard spans already ran with the module
-    // attached (mode 2 native or 3 profiling; 1 means interpreter-only).
-    const std::vector<obs::WindowTrace> windows = service.TraceWindows();
-    ASSERT_FALSE(windows.empty());
-    const obs::WindowTrace* first = &windows[0];
+    // Shard spans in window order: interpreter modes (0 row, 1 columnar)
+    // up to the attach, then native (2) or profiling (3) — one switch.
+    std::vector<uint32_t> modes;
     for (const obs::WindowTrace& w : windows) {
-      if (w.seq < first->seq) first = &w;
+      for (const obs::TraceSpan& span : w.spans) {
+        if (span.kind == obs::kSpanShardApply && span.query == i) {
+          modes.push_back(span.mode);
+        }
+      }
     }
-    bool saw_shard_span = false;
-    for (const obs::TraceSpan& span : first->spans) {
-      if (span.kind != obs::kSpanShardApply || span.query != i) continue;
-      saw_shard_span = true;
-      EXPECT_GE(span.mode, 2u) << "window " << first->seq;
+    ASSERT_FALSE(modes.empty());
+    EXPECT_LT(modes.front(), 2u) << "first window already native";
+    EXPECT_GE(modes.back(), 2u) << "last window still interpreted";
+    size_t switches = 0;
+    for (size_t k = 1; k < modes.size(); ++k) {
+      switches += (modes[k - 1] >= 2) != (modes[k] >= 2);
     }
-    EXPECT_TRUE(saw_shard_span);
+    EXPECT_EQ(switches, 1u);
 #endif
-    auto t = sql::TranslateSql(catalog, sqls[i]);
+    auto t = sql::TranslateSql(catalog, TieredSqls()[i]);
+    ASSERT_TRUE(t.ok());
+    auto twin = Engine::Create(catalog, t->group_vars, t->body,
+                               EngineOptions{.batch_size = pushed});
+    ASSERT_TRUE(twin.ok());
+    size_t at = 0;
+    for (const obs::WindowTrace& w : windows) {
+      const std::vector<Update> slice(applied.begin() + at,
+                                      applied.begin() + at + w.events);
+      ASSERT_TRUE(twin->ApplyBatch(slice).ok());
+      at += w.events;
+    }
+    EXPECT_EQ(service.snapshot(ids[i])->ToGmr(), twin->ResultGmr());
+    ExpectSameStatementCounters(engine, *twin);
+    baseline::NaiveReevaluator oracle(catalog, t->group_vars, t->body);
+    for (const Update& u : applied) oracle.Load(u);
+    ASSERT_TRUE(oracle.Refresh().ok());
+    EXPECT_EQ(service.snapshot(ids[i])->ToGmr(), oracle.ResultGmr());
+  }
+}
+
+TEST(NativeBackendTest, FailingSlowCompilerLeavesInterpreterOn) {
+  // The compile fails after windows already ran: the poll that reaps it
+  // records the failure, and the engine stays the interpreter it was.
+  SlowCompiler slow("exit 1");
+  ring::Catalog catalog = workload::OrdersSchema();
+  sql::TranslatedQuery q = RevenueQuery(catalog);
+  auto engine = CompiledEngine(catalog, q, 16, 1);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto twin = Engine::Create(catalog, q.group_vars, q.body,
+                             EngineOptions{.batch_size = 16});
+  ASSERT_TRUE(twin.ok());
+  const std::vector<Update> updates = RevenueStream(catalog, 16 * 400);
+  size_t windows = 0;
+  for (size_t i = 0; i + 16 <= updates.size() &&
+                     engine->sharded().native_state() ==
+                         runtime::NativeState::kPending;
+       i += 16, ++windows) {
+    const std::vector<Update> slice(updates.begin() + i,
+                                    updates.begin() + i + 16);
+    ASSERT_TRUE(engine->ApplyBatch(slice).ok());
+    ASSERT_TRUE(twin->ApplyBatch(slice).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_GT(windows, 1u) << "the first window waited on the compiler";
+  EXPECT_EQ(engine->sharded().native_state(), runtime::NativeState::kInterp);
+  EXPECT_FALSE(engine->native_enabled());
+  const std::string why = engine->native_status().message();
+  EXPECT_NE(why.find("native compile failed"), std::string::npos) << why;
+  EXPECT_NE(why.find(slow.script()), std::string::npos) << why;
+  const Engine::EngineStats st = engine->Stats();
+  EXPECT_EQ(st.native_attach_updates, 0u);
+  EXPECT_EQ(st.native_wait_ms, 0.0);
+  EXPECT_EQ(NativeCalls(*engine), 0u);
+  EXPECT_EQ(engine->ResultGmr(), twin->ResultGmr());
+}
+
+TEST(NativeBackendTest, DestroyingServiceMidBuildReapsCompiler) {
+  // A service destroyed while its query's compile still runs reaps the
+  // compiler: no child process and no temp artifact outlive it.
+  namespace fs = std::filesystem;
+  SlowCompiler slow("exec cc \"$@\"");
+  ring::Catalog catalog = workload::OrdersSchema();
+  {
+    serve::ServeOptions options;
+    options.batch_size = 32;
+    options.backend = Backend::kCompile;
+    serve::QueryService service(catalog, options);
+    ASSERT_TRUE(service.RegisterSql("q0", TieredSqls()[0]).ok());
+    service.Start();
+    for (const Update& u : RevenueStream(catalog, 200)) {
+      ASSERT_TRUE(service.Push(u).ok());
+    }
+    service.Drain();
+    ASSERT_EQ(service.Stats().queries[0].native_state,
+              runtime::NativeState::kPending);
+  }
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1) << "a child outlived it";
+  EXPECT_EQ(errno, ECHILD);
+  for (const auto& entry : fs::directory_iterator(slow.cache_dir())) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp"),
+              std::string::npos)
+        << entry.path();
+  }
+}
+
+TEST(NativeBackendTest, RecoveryReplaysExactlyWhileBuildPending) {
+  // A restarted compiled service replays its WAL (and loads its
+  // checkpoint) on the interpreter while the compile runs; Start() does
+  // not wait for it, the recovered snapshot is exact, and the module
+  // attaches at a later window with results still exact.
+  if (!HasHostCc()) {
+    ASSERT_FALSE(ExpectNative()) << "no cc on PATH";
+    GTEST_SKIP() << "no host C compiler";
+  }
+  namespace fs = std::filesystem;
+  char dir_template[] = "/tmp/ringdb-tiered-wal-XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  ring::Catalog catalog = workload::OrdersSchema();
+  sql::TranslatedQuery q = RevenueQuery(catalog);
+  serve::ServeOptions options;
+  options.batch_size = 32;
+  options.durability.dir = dir_template;
+  options.durability.checkpoint_every_windows = 8;
+  constexpr size_t kLogged = 1000;
+  const std::vector<Update> updates =
+      RevenueStream(catalog, kLogged + 32 * 400);
+  {
+    serve::QueryService first(catalog, options);  // interpreter
+    ASSERT_TRUE(first.RegisterSql("q0", TieredSqls()[0]).ok());
+    first.Start();
+    for (size_t i = 0; i < kLogged; ++i) {
+      ASSERT_TRUE(first.Push(updates[i]).ok());
+    }
+    first.Drain();
+    first.Stop();
+  }
+  auto oracle_of = [&](size_t n) {
+    baseline::NaiveReevaluator oracle(catalog, q.group_vars, q.body);
+    for (size_t i = 0; i < n; ++i) oracle.Load(updates[i]);
+    EXPECT_TRUE(oracle.Refresh().ok());
+    return oracle.ResultGmr();
+  };
+
+  SlowCompiler slow("exec cc \"$@\"");
+  options.backend = Backend::kCompile;
+  serve::QueryService again(catalog, options);
+  auto id = again.RegisterSql("q0", TieredSqls()[0]);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  const auto t0 = std::chrono::steady_clock::now();
+  again.Start();
+  EXPECT_LT(SecondsSince(t0), kSlowCompileS / 2.0)
+      << "recovery waited on the compiler";
+  ASSERT_TRUE(again.durability_status().ok())
+      << again.durability_status().ToString();
+  EXPECT_EQ(again.recovered_updates(), kLogged);
+  EXPECT_EQ(again.Stats().queries[0].native_state,
+            runtime::NativeState::kPending);
+  EXPECT_EQ(again.snapshot(*id)->ToGmr(), oracle_of(kLogged));
+
+  const size_t pushed = StreamAcrossAttach(again, updates, kLogged, 32, 4);
+  again.Stop();
+  ASSERT_TRUE(again.status().ok()) << again.status().ToString();
+  const Engine& engine = again.engine(*id);
+  ASSERT_TRUE(engine.native_enabled()) << engine.native_status().ToString();
+  EXPECT_EQ(engine.Stats().native_state, runtime::NativeState::kNative);
+  EXPECT_GT(engine.Stats().native_attach_updates, 0u);
+  EXPECT_EQ(again.snapshot(*id)->ToGmr(), oracle_of(pushed));
+  fs::remove_all(dir_template);
+}
+
+TEST(NativeBackendTest, StatsPollersRaceTheAttach) {
+  // The attach races every reader the tiered backend allows during
+  // ingest (CI runs this under TSan): one thread hammers the service
+  // stats and the engines' backend state, another blocks in
+  // native_enabled() on the compiler (holding the build lock the window
+  // poll only try-locks), while windows run and the modules land.
+  if (!HasHostCc()) {
+    ASSERT_FALSE(ExpectNative()) << "no cc on PATH";
+    GTEST_SKIP() << "no host C compiler";
+  }
+  SlowCompiler slow("exec cc \"$@\"");
+  ring::Catalog catalog = workload::OrdersSchema();
+  serve::ServeOptions options;
+  options.batch_size = 32;
+  options.backend = Backend::kCompile;
+  serve::QueryService service(catalog, options);
+  std::vector<const Engine*> engines;
+  for (size_t i = 0; i < TieredSqls().size(); ++i) {
+    auto id = service.RegisterSql("q" + std::to_string(i), TieredSqls()[i]);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    engines.push_back(&service.engine(*id));
+  }
+  service.Start();
+  std::atomic<bool> done{false};
+  std::thread poller([&] {
+    std::vector<uint64_t> attach(engines.size(), 0);
+    while (!done.load(std::memory_order_acquire)) {
+      const serve::QueryService::ServiceStats st = service.Stats();
+      EXPECT_FALSE(service.StatsJson().empty());
+      for (size_t i = 0; i < st.queries.size(); ++i) {
+        const serve::QueryService::QueryStats& q = st.queries[i];
+        EXPECT_NE(q.native_state, runtime::NativeState::kInterp) << q.name;
+        if (attach[i] != 0) {
+          // Recorded once: native and its attach count never move again.
+          EXPECT_EQ(q.native_state, runtime::NativeState::kNative);
+          EXPECT_EQ(q.native_attach_updates, attach[i]);
+        } else if (q.native_state == runtime::NativeState::kNative) {
+          attach[i] = q.native_attach_updates;
+          EXPECT_GT(attach[i], 0u) << q.name;
+        }
+        // Read after the service's copy, so native here is native there.
+        if (q.native_state == runtime::NativeState::kNative) {
+          EXPECT_EQ(engines[i]->sharded().native_state(),
+                    runtime::NativeState::kNative);
+        }
+      }
+    }
+  });
+  std::thread settler([&] {
+    EXPECT_TRUE(engines[1]->native_enabled())
+        << engines[1]->native_status().ToString();
+  });
+  const std::vector<Update> updates = RevenueStream(catalog, 32 * 400);
+  const size_t pushed = StreamAcrossAttach(service, updates, 0, 32, 4);
+  done.store(true, std::memory_order_release);
+  poller.join();
+  settler.join();
+  service.Stop();
+  ASSERT_TRUE(service.status().ok()) << service.status().ToString();
+  for (size_t i = 0; i < engines.size(); ++i) {
+    SCOPED_TRACE(TieredSqls()[i]);
+    EXPECT_EQ(engines[i]->Stats().native_state,
+              runtime::NativeState::kNative);
+    auto t = sql::TranslateSql(catalog, TieredSqls()[i]);
     ASSERT_TRUE(t.ok());
     auto twin = Engine::Create(catalog, t->group_vars, t->body);
     ASSERT_TRUE(twin.ok());
-    for (const Update& u : updates) ASSERT_TRUE(twin->Apply(u).ok());
-    EXPECT_EQ(service.snapshot(ids[i])->ToGmr(), twin->ResultGmr());
+    for (size_t k = 0; k < pushed; ++k) {
+      ASSERT_TRUE(twin->Apply(updates[k]).ok());
+    }
+    EXPECT_EQ(service.snapshot(i)->ToGmr(), twin->ResultGmr());
   }
 }
 
