@@ -49,7 +49,6 @@ ShardedExecutor::ShardedExecutor(const compiler::TriggerProgram& program,
   // compiler and for programs with nothing to emit).
   if (backend == runtime::Backend::kCompile) {
     native_build_ = runtime::NativeModule::Launch(*prog);
-    native_settled_.store(false, std::memory_order_relaxed);
     native_state_.store(runtime::NativeState::kPending,
                         std::memory_order_relaxed);
   }
@@ -79,38 +78,48 @@ ShardedExecutor::ShardedExecutor(const compiler::TriggerProgram& program,
 void ShardedExecutor::Settle(runtime::NativeModule::Result result) const {
   native_build_stats_ = native_build_->stats();
   native_build_.reset();  // reaped; the module keeps what it needs
+  runtime::NativeState settled = runtime::NativeState::kReady;
   if (result.ok()) {
     native_module_ = std::move(result).value();
   } else {
     native_status_ = result.status();
-    native_state_.store(runtime::NativeState::kInterp,
-                        std::memory_order_release);
+    settled = runtime::NativeState::kInterp;
   }
-  native_settled_.store(true, std::memory_order_release);
+  native_state_.store(settled, std::memory_order_release);
 }
 
 void ShardedExecutor::SettleNative() const {
-  if (native_settled_.load(std::memory_order_acquire)) return;
+  if (native_state_.load(std::memory_order_acquire) !=
+      runtime::NativeState::kPending) {
+    return;
+  }
   std::lock_guard<std::mutex> lock(native_mu_);
-  if (!native_settled_.load(std::memory_order_relaxed)) {
+  if (native_state_.load(std::memory_order_relaxed) ==
+      runtime::NativeState::kPending) {
     Settle(native_build_->Wait());
   }
 }
 
 void ShardedExecutor::AttachNativeIfReady() {
-  if (!native_settled_.load(std::memory_order_acquire)) {
+  if (native_state_.load(std::memory_order_acquire) ==
+      runtime::NativeState::kPending) {
     // A caller blocked in SettleNative holds the lock: leave this window
     // on the interpreter rather than wait behind it.
     std::unique_lock<std::mutex> lock(native_mu_, std::try_to_lock);
     if (!lock.owns_lock()) return;
-    if (!native_settled_.load(std::memory_order_relaxed)) {
+    if (native_state_.load(std::memory_order_relaxed) ==
+        runtime::NativeState::kPending) {
       std::optional<runtime::NativeModule::Result> result =
           native_build_->Poll();
       if (!result.has_value()) return;  // cc still running
       Settle(std::move(*result));
     }
   }
-  if (native_module_ == nullptr) return;  // failed; Settle chose kInterp
+  // Failed builds settle to kInterp; only the owner leaves kReady.
+  if (native_state_.load(std::memory_order_relaxed) !=
+      runtime::NativeState::kReady) {
+    return;
+  }
   // Between windows: the workers are parked, and the next generation
   // handshake publishes the attached module to them.
   for (const auto& shard : shards_) {

@@ -126,9 +126,14 @@ class ShardedExecutor {
     SettleNative();
     return native_status_;
   }
-  // The backend as of now, without waiting; any thread.
+  // The backend as of now, without waiting; any thread. A settled module
+  // not yet attached still reads kPending.
   runtime::NativeState native_state() const {
-    return native_state_.load(std::memory_order_acquire);
+    const runtime::NativeState state =
+        native_state_.load(std::memory_order_acquire);
+    return state == runtime::NativeState::kReady
+               ? runtime::NativeState::kPending
+               : state;
   }
   // Updates (input tuple-units, Executor::Stats::updates summed over the
   // shards) the interpreter applied before the module was attached; 0
@@ -139,7 +144,10 @@ class ShardedExecutor {
   // The native build's export: zeros until the build settled, and when
   // none was launched. Never waits; any thread.
   runtime::NativeBuildStats native_build_stats() const {
-    if (!native_settled_.load(std::memory_order_acquire)) return {};
+    if (native_state_.load(std::memory_order_acquire) ==
+        runtime::NativeState::kPending) {
+      return {};
+    }
     return native_build_stats_;
   }
 
@@ -327,13 +335,16 @@ class ShardedExecutor {
   // the build is ready. The interpreter path (and every window after the
   // switch) pays one relaxed load.
   void PollNative() {
-    if (native_state_.load(std::memory_order_relaxed) ==
-        runtime::NativeState::kPending) {
+    const runtime::NativeState state =
+        native_state_.load(std::memory_order_relaxed);
+    if (state == runtime::NativeState::kPending ||
+        state == runtime::NativeState::kReady) {
       AttachNativeIfReady();
     }
   }
   void AttachNativeIfReady();
-  // native_mu_ held: publishes the settled build and drops the Pending.
+  // native_mu_ held: publishes the settled build (kReady or kInterp) and
+  // drops the Pending.
   void Settle(runtime::NativeModule::Result result) const;
 
   void WorkerLoop(size_t shard_idx);
@@ -358,15 +369,15 @@ class ShardedExecutor {
   // Native build state. native_mu_ serializes every use of
   // native_build_: SettleNative holds it while blocked on the compiler,
   // the window poll only try-locks it, so a window never queues behind a
-  // waiting caller. The settled build (module or error, build stats) is
-  // written once before native_settled_ is released and read only after
-  // acquiring it. native_state_ moves kPending -> kNative (the owner's
-  // attach) or kPending -> kInterp (a failed build). Mutable: settling is
-  // logically const — the backend is chosen at construction, only the
-  // module's arrival is deferred.
+  // waiting caller. native_state_ moves kPending -> kReady (built) ->
+  // kNative (the owner's attach), or kPending -> kInterp (a failed
+  // build); "settled" means past kPending. The settled build (module or
+  // error, build stats) is written once before the release store that
+  // leaves kPending, and read only after an acquire load that sees it
+  // left. Mutable: settling is logically const — the backend is chosen
+  // at construction, only the module's arrival is deferred.
   mutable std::mutex native_mu_;
   mutable std::unique_ptr<runtime::NativeModule::Pending> native_build_;
-  mutable std::atomic<bool> native_settled_{true};
   mutable std::shared_ptr<const runtime::NativeModule> native_module_;
   mutable Status native_status_ = Status::Ok();
   mutable runtime::NativeBuildStats native_build_stats_;

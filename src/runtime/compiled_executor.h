@@ -65,12 +65,15 @@ enum class Backend {
 // Where an engine's native backend stands (EngineStats::native_state).
 // A kCompile engine starts kPending and moves once, at a window boundary,
 // to kNative (module attached) or kInterp (the build failed); an
-// interpreter engine is kInterp throughout.
-enum class NativeState : uint8_t { kInterp, kPending, kNative };
+// interpreter engine is kInterp throughout. kReady is the executor's
+// internal step between the two (module built, not yet attached); it is
+// reported as kPending.
+enum class NativeState : uint8_t { kInterp, kPending, kNative, kReady };
 
 inline const char* NativeStateName(NativeState state) {
   switch (state) {
     case NativeState::kPending:
+    case NativeState::kReady:
       return "pending";
     case NativeState::kNative:
       return "native";

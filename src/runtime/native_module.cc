@@ -2,6 +2,7 @@
 
 #include <dlfcn.h>
 #include <fcntl.h>
+#include <signal.h>
 #include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -170,9 +171,16 @@ Status NativeModule::Pending::Spawn() {
   posix_spawn_file_actions_init(&actions);
   posix_spawn_file_actions_addopen(&actions, STDERR_FILENO, log_.c_str(),
                                    O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  // Its own process group, so ~Pending can stop the compiler together
+  // with whatever it started (cc1, as, ld; a wrapper script's children).
+  posix_spawnattr_t attr;
+  posix_spawnattr_init(&attr);
+  posix_spawnattr_setflags(&attr, POSIX_SPAWN_SETPGROUP);
+  posix_spawnattr_setpgroup(&attr, 0);
   const int rc =
-      ::posix_spawnp(&pid_, cc_.c_str(), &actions, nullptr,
+      ::posix_spawnp(&pid_, cc_.c_str(), &actions, &attr,
                      const_cast<char* const*>(argv), environ);
+  posix_spawnattr_destroy(&attr);
   posix_spawn_file_actions_destroy(&actions);
   if (rc != 0) {
     pid_ = -1;
@@ -210,7 +218,14 @@ std::optional<Status> NativeModule::Pending::Reap(bool block) {
 }
 
 NativeModule::Pending::~Pending() {
-  if (pid_ >= 0) (void)Reap(/*block=*/true);
+  if (pid_ < 0) return;
+  // Nobody wants this module any more: stop the compile rather than wait
+  // it out. SIGTERM lets the compiler driver delete its own temp files;
+  // the group is still ours to signal because its leader is unreaped.
+  // Reap then removes the temp .so and log (or publishes a compile that
+  // had already finished).
+  ::kill(-pid_, SIGTERM);
+  (void)Reap(/*block=*/true);
 }
 
 std::optional<NativeModule::Result> NativeModule::Pending::Step(bool block) {

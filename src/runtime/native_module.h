@@ -80,9 +80,9 @@ class NativeModule {
   // A settled build: the loaded module, or why there is none.
   using Result = StatusOr<std::shared_ptr<const NativeModule>>;
 
-  // A build in flight. Destroying it before it settled reaps the
-  // compiler (blocking until it exits) and publishes or removes its temp
-  // files, so no child process or temp artifact outlives it. Not
+  // A build in flight. Destroying it before it settled stops the
+  // compiler (SIGTERM to its process group), reaps it and removes its
+  // temp files, so no child process or temp artifact outlives it. Not
   // thread-safe: callers serialize Poll/Wait/destruction, and call
   // neither again once one returned a result.
   class Pending {

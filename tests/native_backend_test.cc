@@ -555,6 +555,7 @@ TEST(NativeBackendTest, ServiceServesOnInterpreterUntilCompilesLand) {
     const Engine::EngineStats st = engine.Stats();
     EXPECT_EQ(st.native_state, runtime::NativeState::kNative);
     EXPECT_FALSE(st.native_cache_hit);
+    EXPECT_GT(st.native_source_bytes, 0u);
     EXPECT_GT(st.native_entry_points, 0u);
     EXPECT_GE(st.native_build_ms, kSlowCompileS * 1000.0);
     EXPECT_EQ(st.native_wait_ms, 0.0) << "a caller blocked on the compiler";
@@ -639,11 +640,13 @@ TEST(NativeBackendTest, FailingSlowCompilerLeavesInterpreterOn) {
 }
 
 TEST(NativeBackendTest, DestroyingServiceMidBuildReapsCompiler) {
-  // A service destroyed while its query's compile still runs reaps the
-  // compiler: no child process and no temp artifact outlive it.
+  // A service destroyed while its query's compile still runs stops and
+  // reaps the compiler without waiting the compile out: no child process
+  // and no temp artifact outlive it.
   namespace fs = std::filesystem;
   SlowCompiler slow("exec cc \"$@\"");
   ring::Catalog catalog = workload::OrdersSchema();
+  std::chrono::steady_clock::time_point destroying;
   {
     serve::ServeOptions options;
     options.batch_size = 32;
@@ -657,7 +660,10 @@ TEST(NativeBackendTest, DestroyingServiceMidBuildReapsCompiler) {
     service.Drain();
     ASSERT_EQ(service.Stats().queries[0].native_state,
               runtime::NativeState::kPending);
+    destroying = std::chrono::steady_clock::now();
   }
+  EXPECT_LT(SecondsSince(destroying), kSlowCompileS / 4.0)
+      << "destruction waited on the compiler";
   errno = 0;
   EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1) << "a child outlived it";
   EXPECT_EQ(errno, ECHILD);
@@ -792,6 +798,13 @@ TEST(NativeBackendTest, StatsPollersRaceTheAttach) {
   settler.join();
   service.Stop();
   ASSERT_TRUE(service.status().ok()) << service.status().ToString();
+  // The settler blocked on engine 1's compiler, and only it did: its
+  // wait is time blocked, never more than the build; the window path
+  // waits on nothing.
+  const Engine::EngineStats settled = engines[1]->Stats();
+  EXPECT_GT(settled.native_wait_ms, 0.0);
+  EXPECT_LE(settled.native_wait_ms, settled.native_build_ms);
+  EXPECT_EQ(engines[0]->Stats().native_wait_ms, 0.0);
   for (size_t i = 0; i < engines.size(); ++i) {
     SCOPED_TRACE(TieredSqls()[i]);
     EXPECT_EQ(engines[i]->Stats().native_state,
