@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark): per-update latency of the
 // compiled trigger programs for the canonical query shapes, compile
-// times, evaluator throughput, and view-map primitives.
+// times, evaluator throughput, view-table primitives, and the cost of
+// publishing a window (copy-on-write freeze).
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include "baseline/baselines.h"
 #include "compiler/compile.h"
 #include "runtime/engine.h"
+#include "runtime/frozen_view.h"
 #include "runtime/view_table.h"
 #include "sql/translate.h"
 #include "util/random.h"
@@ -171,6 +173,45 @@ void BM_ViewTableIndexedProbe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ViewTableIndexedProbe);
+
+// Point probes on an arity-1 view of 1M entries: the cost of reaching an
+// entry through the page tables (slot page, then entry page).
+void BM_ViewTableProbeArity1(benchmark::State& state) {
+  ringdb::runtime::ViewTable view(1);
+  constexpr int64_t kEntries = 1 << 20;
+  for (int64_t i = 0; i < kEntries; ++i) view.Add({Value(i)}, ringdb::kOne);
+  Rng rng(5);
+  for (auto _ : state) {
+    const Value key(rng.Range(0, kEntries - 1));
+    benchmark::DoNotOptimize(view.At(&key, 1));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ViewTableProbeArity1);
+
+// One published window on an arity-1 view of state.range(0) entries,
+// with the previous publication still held (as a reader would): 64 key
+// updates, then a freeze. Publication copies the pages the window
+// touched, so the time should not grow with the view.
+void BM_FreezeAfterWindow(benchmark::State& state) {
+  ringdb::runtime::ViewTable view(1);
+  const int64_t entries = state.range(0);
+  for (int64_t i = 0; i < entries; ++i) view.Add({Value(i)}, ringdb::kOne);
+  ringdb::runtime::FrozenViewPtr held =
+      ringdb::runtime::FrozenView::Freeze(view);
+  Rng rng(5);
+  const uint64_t copied0 = view.pages_copied();
+  for (auto _ : state) {
+    for (int k = 0; k < 64; ++k) {
+      view.Add({Value(rng.Range(0, entries - 1))}, ringdb::kOne);
+    }
+    held = ringdb::runtime::FrozenView::Freeze(view);
+  }
+  state.counters["pages_copied_per_window"] = benchmark::Counter(
+      static_cast<double>(view.pages_copied() - copied0) /
+      static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_FreezeAfterWindow)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 }  // namespace
 

@@ -143,8 +143,23 @@ ShardedExecutor::~ShardedExecutor() {
 
 void ShardedExecutor::FreezeShard(size_t s) const {
   RINGDB_CRASH_POINT("shard_publish");
-  subs_[s] = runtime::FrozenView::Freeze(shards_[s]->root());
+  runtime::Executor& shard = *shards_[s];
+  subs_[s] = runtime::FrozenView::Freeze(
+      shard.mutable_view(shard.program().root_view));
   sub_epoch_[s] = mutation_epoch_;
+}
+
+void ShardedExecutor::PublishShard(size_t s) {
+  const uint64_t p0 = obs::NowNs();
+  FreezeShard(s);
+#ifndef RINGDB_NO_METRICS
+  if (trace_ctx_.recorder != nullptr && trace_ctx_.seq != 0) {
+    trace_ctx_.recorder->AddSpan(
+        trace_ctx_.seq, obs::kSpanShardPublish, trace_ctx_.query,
+        static_cast<uint32_t>(s), shards_[s]->window_dispatch_mode(), p0,
+        obs::NowNs());
+  }
+#endif
 }
 
 std::vector<runtime::FrozenViewPtr> ShardedExecutor::RootSubSnapshots()
@@ -210,18 +225,7 @@ void ShardedExecutor::FinishShard(size_t s, ShardRun& run) {
         run.begin_ns, t1);
   }
 #endif
-  if (publish_enabled_ && run.status.ok()) {
-    const uint64_t p0 = obs::NowNs();
-    FreezeShard(s);
-#ifndef RINGDB_NO_METRICS
-    if (trace_ctx_.recorder != nullptr && trace_ctx_.seq != 0) {
-      trace_ctx_.recorder->AddSpan(
-          trace_ctx_.seq, obs::kSpanShardPublish, trace_ctx_.query,
-          static_cast<uint32_t>(s), shards_[s]->window_dispatch_mode(), p0,
-          obs::NowNs());
-    }
-#endif
-  }
+  if (publish_enabled_ && run.status.ok()) PublishShard(s);
   // done is the thieves' cheap short-circuit; the release pairs with
   // their acquire load so a true reading implies the shard's final
   // state (status, sub-snapshot) is visible.
@@ -343,7 +347,7 @@ Status ShardedExecutor::ApplyBatch(const UpdateBatch& batch) {
     }
     if (rows != 0) shards_[0]->ReserveForBatch(rows);
     RunShardWhole(0);
-    if (publish_enabled_ && shard0_status_.ok()) FreezeShard(0);
+    if (publish_enabled_ && shard0_status_.ok()) PublishShard(0);
     return shard0_status_;
   }
   for (const RelationDelta& delta : batch.deltas()) {
@@ -481,11 +485,20 @@ size_t ShardedExecutor::ApproxBytes() const {
       bytes += slice.rows.capacity() * sizeof(uint32_t);
     }
   }
-  // Published sub-snapshots (shared with any live ResultSnapshots).
-  for (const runtime::FrozenViewPtr& sub : subs_) {
-    if (sub != nullptr) bytes += sub->ApproxBytes();
+  // Published sub-snapshots: only the pages each holds apart from its
+  // live root (the rest are already counted above).
+  for (size_t s = 0; s < subs_.size(); ++s) {
+    if (subs_[s] != nullptr) {
+      bytes += subs_[s]->ApproxBytesNotSharedWith(shards_[s]->root());
+    }
   }
   return bytes;
+}
+
+uint64_t ShardedExecutor::PublishPagesCopied() const {
+  uint64_t pages = 0;
+  for (const auto& shard : shards_) pages += shard->root().pages_copied();
+  return pages;
 }
 
 }  // namespace exec

@@ -31,7 +31,10 @@
 //     readers compose the per-shard FrozenViews (serve::ResultSnapshot)
 //     instead of paying ForEachRootMerged's merge-on-read, and a shard
 //     untouched by a window carries its previous FrozenView forward by
-//     epoch (no copy, no scan).
+//     epoch (no copy, no scan). A freeze shares the root's pages: it
+//     costs an O(pages) page-table copy, and the shard's next window
+//     copies the pages it writes (ViewTable's copy on write), so
+//     publication is O(window), not O(result).
 //
 // Steal behaviour is observable (morsels_run/morsels_stolen counters,
 // kSpanShardSteal/kSpanShardPublish window-trace spans) and testable:
@@ -212,8 +215,10 @@ class ShardedExecutor {
 
   // Turns on eager per-shard publication: the worker finishing a shard's
   // window freezes the shard root into a FrozenView while still holding
-  // the shard token. Off by default (standalone engines and benches pay
-  // nothing); serve::QueryService enables it after recovery replay so
+  // the shard token (the single-shard path on the calling thread; both
+  // under a kSpanShardPublish span). Off by default (standalone engines
+  // and benches pay nothing: with no freeze, no page is ever shared or
+  // copied); serve::QueryService enables it after recovery replay so
   // replayed windows also skip the freeze. Call only while quiescent.
   void EnablePublish(bool on) { publish_enabled_ = on; }
   bool publish_enabled() const { return publish_enabled_; }
@@ -258,7 +263,13 @@ class ShardedExecutor {
     shards_[0]->CollectDispatch(out);
   }
   void ResetStats();
+  // Live views plus, per published sub-snapshot, only the pages it no
+  // longer shares with its shard's root.
   size_t ApproxBytes() const;
+  // Root pages copied on write because a publication still shared them
+  // (ViewTable::pages_copied summed over the shards); same read-safety
+  // caveat as AggregateStats.
+  uint64_t PublishPagesCopied() const;
 
   // Pipeline stage spans, batch-boundary granularity: wall time of one
   // shard applying its window (first morsel begin → last morsel end, so
@@ -360,8 +371,12 @@ class ShardedExecutor {
   bool TryRunShard(size_t s, size_t home);
   Status RunMorsel(size_t s, const Morsel& morsel);
   // Token must be held: records the shard apply span and, when
-  // publication is on, freezes the root sub-snapshot.
+  // publication is on, publishes the root sub-snapshot.
   void FinishShard(size_t s, ShardRun& run);
+  // Freezes shard s's root into subs_[s] (an O(pages) page-table copy)
+  // under a kSpanShardPublish span; both the single-shard and the
+  // morsel path publish through here.
+  void PublishShard(size_t s);
   void FreezeShard(size_t s) const;
 
   PartitionScheme scheme_;

@@ -138,6 +138,7 @@ Engine::EngineStats Engine::Stats() const {
   EngineStats out;
   out.totals = sharded_->AggregateStats();
   out.approx_bytes = sharded_->ApproxBytes();
+  out.publish_pages_copied = sharded_->PublishPagesCopied();
   out.num_shards = sharded_->num_shards();
   out.native_state = sharded_->native_state();
   out.native_enabled = out.native_state == NativeState::kNative;
@@ -189,6 +190,7 @@ std::string Engine::StatsText() const {
   out += "engine: shards=" + std::to_string(st.num_shards) +
          " backend=" + NativeStateName(st.native_state) +
          " approx_bytes=" + std::to_string(st.approx_bytes) +
+         " publish_pages_copied=" + std::to_string(st.publish_pages_copied) +
          " updates=" + std::to_string(st.totals.updates) +
          " statements_run=" + std::to_string(st.totals.statements_run) +
          " entries_touched=" + std::to_string(st.totals.entries_touched) +
@@ -274,6 +276,8 @@ std::string Engine::StatsJson(int indent) const {
          std::to_string(st.native_attach_updates) + ",\n";
   out += pad + "  \"approx_bytes\": " + std::to_string(st.approx_bytes) +
          ",\n";
+  out += pad + "  \"publish_pages_copied\": " +
+         std::to_string(st.publish_pages_copied) + ",\n";
   char build[256];
   std::snprintf(build, sizeof(build),
                 "%s  \"native_build_ms\": %.3f,\n"

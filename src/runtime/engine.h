@@ -192,6 +192,9 @@ class Engine {
     Executor::Stats totals;               // cross-shard sums
     std::vector<StmtStats> statements;    // by stmt_id
     size_t approx_bytes = 0;              // all views, all shards
+    // Root pages copied on write after a publication shared them: the
+    // whole cost of publishing, O(pages a window touches).
+    uint64_t publish_pages_copied = 0;
     size_t num_shards = 0;
     // The backend as of this read (no waiting): pending while cc runs,
     // native once the module is attached, interp otherwise.

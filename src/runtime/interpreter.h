@@ -188,8 +188,10 @@ class Executor {
   }
   size_t num_views() const { return views_.size(); }
   // Checkpoint-recovery load hook (log/checkpoint.cc): bulk-inserts
-  // restored entries into an otherwise untouched executor. Not for use
-  // during normal maintenance — views are trigger-owned state.
+  // restored entries into an otherwise untouched executor; and the
+  // publication hook (ShardedExecutor freezes the root between windows,
+  // which starts a new freeze generation). Not for use during normal
+  // maintenance — views are trigger-owned state.
   ViewTable& mutable_view(int id) { return views_[static_cast<size_t>(id)]; }
   bool has_lazy_views() const { return has_lazy_views_; }
 

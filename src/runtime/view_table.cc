@@ -1,34 +1,15 @@
 #include "runtime/view_table.h"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
+#include <new>
 #include <sstream>
 
 namespace ringdb {
 namespace runtime {
 
 namespace {
-
-// Finds the live entry with this hash/key in the slot table; kNoEntry if
-// absent. Free function so both the const and mutating paths share it.
-template <typename Slots, typename Entries, typename KeyOf>
-uint32_t Probe(const Slots& slots, const Entries& entries, const KeyOf& key_of,
-               const Value* key, size_t n, uint64_t hash) {
-  if (slots.empty()) return UINT32_MAX;
-  const size_t mask = slots.size() - 1;
-  size_t s = hash & mask;
-  while (slots[s] != UINT32_MAX) {
-    const auto& e = entries[slots[s]];
-    if (e.hash == hash) {
-      const Value* ek = key_of(e);
-      bool eq = true;
-      for (size_t i = 0; i < n && eq; ++i) eq = ek[i] == key[i];
-      if (eq) return slots[s];
-    }
-    s = (s + 1) & mask;
-  }
-  return UINT32_MAX;
-}
 
 // One index row's fixed cost in the unordered_map: subkey hash, id
 // vector header, bucket chain + cached hash.
@@ -48,29 +29,115 @@ size_t StringHeapBytes(const Value* key, size_t n) {
   return bytes;
 }
 
-}  // namespace
-
-uint32_t ViewTable::FindEntryHashed(const Value* key, size_t n,
-                                    uint64_t hash) const {
-  return Probe(
-      slots_, entries_, [this](const Entry& e) { return EntryKey(e); }, key,
-      n, hash);
+// String payloads behind every key stored in an entry page.
+size_t PageStringBytes(const ViewPage& page) {
+  const size_t stride = EntryStride(page.arity);
+  size_t bytes = 0;
+  for (uint32_t r = 0; r < page.used; ++r) {
+    bytes += StringHeapBytes(EntryKey(page.record(r, stride)), page.arity);
+  }
+  return bytes;
 }
 
-uint32_t ViewTable::FindEntry(const Value* key, size_t n) const {
-  return FindEntryHashed(key, n, HashValues(key, n));
+size_t EntryPageBytes(size_t stride) {
+  return sizeof(ViewPage) + kPageEntries * stride;
+}
+
+}  // namespace
+
+ViewPage* ViewPage::New(size_t payload_bytes, uint32_t arity, uint64_t gen) {
+  auto* page = new (::operator new(sizeof(ViewPage) + payload_bytes)) ViewPage;
+  page->arity = arity;
+  page->gen = gen;
+  return page;
+}
+
+void ViewPage::Destroy(ViewPage* page) {
+  if (page->arity != kSlotPage) {
+    const size_t stride = EntryStride(page->arity);
+    for (uint32_t r = 0; r < page->used; ++r) {
+      Value* key = EntryKey(page->record(r, stride));
+      for (size_t i = 0; i < page->arity; ++i) key[i].~Value();
+    }
+  }
+  page->~ViewPage();
+  ::operator delete(page);
+}
+
+size_t ViewPages::PageBytes() const {
+  return entry_pages.size() * EntryPageBytes(stride) +
+         slot_pages.size() *
+             (sizeof(ViewPage) + slot_page_ids() * sizeof(uint32_t)) +
+         (entry_pages.capacity() + slot_pages.capacity()) * sizeof(PageRef);
+}
+
+size_t ViewPages::BytesNotSharedWith(const ViewPages& live) const {
+  size_t bytes =
+      (entry_pages.capacity() + slot_pages.capacity()) * sizeof(PageRef);
+  for (size_t p = 0; p < entry_pages.size(); ++p) {
+    if (p < live.entry_pages.size() &&
+        live.entry_pages[p].get() == entry_pages[p].get()) {
+      continue;
+    }
+    bytes += EntryPageBytes(stride) + PageStringBytes(*entry_pages[p]);
+  }
+  const size_t slot_page_bytes =
+      sizeof(ViewPage) + slot_page_ids() * sizeof(uint32_t);
+  for (size_t p = 0; p < slot_pages.size(); ++p) {
+    if (p < live.slot_pages.size() &&
+        live.slot_pages[p].get() == slot_pages[p].get()) {
+      continue;
+    }
+    bytes += slot_page_bytes;
+  }
+  return bytes;
+}
+
+ViewTable::ViewTable(size_t arity) : arity_(arity) {
+  pages_.arity = arity;
+  pages_.stride = EntryStride(arity);
+}
+
+ViewPage* ViewTable::Writable(PageRef& page) {
+  const ViewPage& old = *page;
+  if (old.gen == freeze_gen_) return page.get();
+  ViewPage* copy;
+  if (old.arity == ViewPage::kSlotPage) {
+    const size_t bytes = pages_.slot_page_ids() * sizeof(uint32_t);
+    copy = ViewPage::New(bytes, ViewPage::kSlotPage, freeze_gen_);
+    std::memcpy(copy->payload(), old.payload(), bytes);
+  } else {
+    const size_t stride = pages_.stride;
+    copy = ViewPage::New(kPageEntries * stride, old.arity, freeze_gen_);
+    for (uint32_t r = 0; r < old.used; ++r) {
+      const EntryHead* src = old.record(r, stride);
+      EntryHead* dst = new (copy->record(r, stride)) EntryHead(*src);
+      for (size_t i = 0; i < arity_; ++i) {
+        new (EntryKey(dst) + i) Value(EntryKey(src)[i]);
+      }
+    }
+    copy->used = old.used;
+    // The copies' string capacities need not match the originals'.
+    string_bytes_ += PageStringBytes(*copy);
+    string_bytes_ -= PageStringBytes(old);
+  }
+  page = PageRef(copy);
+  ++pages_copied_;
+  return copy;
 }
 
 // Clears a deferred erase: the entry at `id` counts as live again.
 void ViewTable::Unpend(uint32_t id) {
-  entries_[id].pending_erase = false;
+  pending_[id] = false;
   pending_erases_.erase(
       std::find(pending_erases_.begin(), pending_erases_.end(), id));
+  if (pending_erases_.empty()) pending_.clear();
 }
 
 bool ViewTable::Contains(const Key& key) const {
-  const uint32_t id = FindEntry(key.data(), key.size());
-  return id != kNoEntry && !entries_[id].pending_erase;
+  const uint32_t id =
+      pages_.Find(key.data(), key.size(), HashValues(key.data(), key.size()));
+  return id != kNoEntry && !IsPending(id);
 }
 
 void ViewTable::Add(const Value* key, size_t n, Numeric delta) {
@@ -81,20 +148,20 @@ void ViewTable::Add(const Value* key, size_t n, Numeric delta) {
 }
 
 void ViewTable::AddHashed(const Value* key, uint64_t hash, Numeric delta) {
-  const uint32_t id = FindEntryHashed(key, arity_, hash);
+  const uint32_t id = pages_.Find(key, arity_, hash);
   if (id == kNoEntry) {
     AppendEntry(key, hash, delta);
     return;
   }
-  Entry& e = entries_[id];
-  e.value += delta;
-  if (e.pending_erase) {
+  EntryHead* head = MutableHead(id);
+  head->value += delta;
+  if (IsPending(id)) {
     // Resurrected before the deferred erase applied (delta is nonzero, so
     // the sum left zero).
     Unpend(id);
     return;
   }
-  if (e.value.IsZero() && !keep_zeros_) EraseEntry(id);
+  if (head->value.IsZero() && !keep_zeros_) EraseEntry(id);
 }
 
 void ViewTable::AddSpan(const Value* keys, const Numeric* deltas,
@@ -110,12 +177,12 @@ void ViewTable::AddSpan(const Value* keys, const Numeric* deltas,
   // Hash pass first: computing all key hashes up front lets the probe
   // pass start from a warm slot line (the prefetch below) instead of
   // alternating hash arithmetic with dependent cache misses. Slot growth
-  // mid-span only staleness-es the *hint*; the probe recomputes masks.
-  const size_t mask = slots_.empty() ? 0 : slots_.size() - 1;
+  // mid-span only makes the *hint* stale; the probe recomputes masks.
+  const bool prefetch = !pages_.slot_pages.empty();
   for (size_t i = 0; i < count; ++i) {
     const uint64_t h = HashValues(keys + i * arity_, arity_);
     span_hash_scratch_[i] = h;
-    if (mask != 0) __builtin_prefetch(&slots_[h & mask]);
+    if (prefetch) __builtin_prefetch(pages_.SlotAddress(h & pages_.slot_mask));
   }
   for (size_t i = 0; i < count; ++i) {
     if (deltas[i].IsZero()) continue;
@@ -127,12 +194,12 @@ void ViewTable::EnsureEntry(const Key& key, Numeric value) {
   RINGDB_CHECK_EQ(key.size(), arity_);
   if (iter_depth_ == 0 && !pending_erases_.empty()) ApplyPendingErases();
   const uint64_t hash = HashValues(key.data(), key.size());
-  const uint32_t id = FindEntryHashed(key.data(), key.size(), hash);
+  const uint32_t id = pages_.Find(key.data(), key.size(), hash);
   if (id != kNoEntry) {
     // A pending-erase entry still owns its key; marking it live again
     // with the requested value preserves EnsureEntry's contract.
-    if (entries_[id].pending_erase) {
-      entries_[id].value = value;
+    if (IsPending(id)) {
+      MutableHead(id)->value = value;
       Unpend(id);
     }
     return;
@@ -141,16 +208,12 @@ void ViewTable::EnsureEntry(const Key& key, Numeric value) {
 }
 
 void ViewTable::Reserve(size_t n) {
+  if (pages_.entries == 0) return;
   if (iter_depth_ == 0 && !pending_erases_.empty()) ApplyPendingErases();
-  // reserve() allocates *exactly* n, so a caller that reserves a little
-  // more every window (the batch path's size + delta hint) would move
-  // the whole entry table once per window. Grow geometrically instead,
-  // and only when capacity is actually short.
-  if (entries_.capacity() < n) {
-    entries_.reserve(std::max(n, entries_.capacity() * 2));
-  }
-  if (!inline_keys() && arena_.capacity() < n * arity_) {
-    arena_.reserve(std::max(n * arity_, arena_.capacity() * 2));
+  const size_t pages = (n + kPageEntries - 1) >> kEntryPageShift;
+  std::vector<PageRef>& table = pages_.entry_pages;
+  if (table.capacity() < pages) {
+    table.reserve(std::max(pages, table.capacity() * 2));
   }
   GrowSlots(n);
   // Index rows are keyed by distinct subkey, typically far fewer than n;
@@ -170,9 +233,9 @@ int ViewTable::EnsureIndex(std::vector<size_t> positions) {
   }
   Index index;
   index.positions = std::move(positions);
-  index.rows.reserve(entries_.size());
-  for (uint32_t id = 0; id < entries_.size(); ++id) {
-    index.rows[SubHash(index, EntryKey(entries_[id]))].push_back(id);
+  index.rows.reserve(pages_.entries);
+  for (uint32_t id = 0; id < pages_.entries; ++id) {
+    index.rows[SubHash(index, pages_.KeyOf(id))].push_back(id);
   }
   // Account the freshly built rows in one pass (the only O(n) moment of
   // the incremental scheme: index registration itself is O(n) anyway).
@@ -185,35 +248,26 @@ int ViewTable::EnsureIndex(std::vector<size_t> positions) {
 
 uint32_t ViewTable::AppendEntry(const Value* key, uint64_t hash,
                                 Numeric value) {
-  RINGDB_CHECK_LT(entries_.size(), static_cast<size_t>(kNoEntry));
-  if (slots_.empty() || (entries_.size() + 1) * 4 > slots_.size() * 3) {
-    GrowSlots(entries_.size() + 1);
+  RINGDB_CHECK_LT(pages_.entries, kNoEntry);
+  const uint32_t id = pages_.entries;
+  if ((static_cast<size_t>(id) + 1) * 4 > pages_.num_slots() * 3) {
+    GrowSlots(static_cast<size_t>(id) + 1);
   }
-  const uint32_t id = static_cast<uint32_t>(entries_.size());
-  Entry e;
-  e.hash = hash;
-  e.value = value;
-  if (inline_keys()) {
-    for (size_t i = 0; i < arity_; ++i) e.ikey[i] = key[i];
-  } else {
-    uint32_t block;
-    if (!free_blocks_.empty()) {
-      block = free_blocks_.back();
-      free_blocks_.pop_back();
-    } else {
-      block = static_cast<uint32_t>(arena_.size() / arity_);
-      arena_.resize(arena_.size() + arity_);
-    }
-    Value* dst = arena_.data() + static_cast<size_t>(block) * arity_;
-    for (size_t i = 0; i < arity_; ++i) dst[i] = key[i];
-    e.block = block;
+  const size_t r = id & (kPageEntries - 1);
+  if (r == 0) {
+    pages_.entry_pages.emplace_back(ViewPage::New(
+        kPageEntries * pages_.stride, static_cast<uint32_t>(arity_),
+        freeze_gen_));
   }
-  entries_.push_back(std::move(e));
-  const size_t mask = slots_.size() - 1;
-  size_t s = hash & mask;
-  while (slots_[s] != kEmptySlot) s = (s + 1) & mask;
-  slots_[s] = id;
-  const Value* ek = EntryKey(entries_[id]);
+  ViewPage* page = Writable(pages_.entry_pages.back());
+  Value* ek = EntryKey(new (page->record(r, pages_.stride))
+                           EntryHead{hash, value});
+  for (size_t i = 0; i < arity_; ++i) new (ek + i) Value(key[i]);
+  page->used = static_cast<uint32_t>(r + 1);
+  ++pages_.entries;
+  size_t s = hash & pages_.slot_mask;
+  while (pages_.Slot(s) != kEmptySlot) s = (s + 1) & pages_.slot_mask;
+  SetSlot(s, id);
   // Incremental ApproxBytes: measure the *stored* copies (their
   // capacities, not the caller's), and track row growth around the
   // push_back.
@@ -230,7 +284,8 @@ uint32_t ViewTable::AppendEntry(const Value* key, uint64_t hash,
 
 void ViewTable::EraseEntry(uint32_t id) {
   if (iter_depth_ > 0) {
-    entries_[id].pending_erase = true;
+    if (pending_.size() < pages_.entries) pending_.resize(pages_.entries);
+    pending_[id] = true;
     pending_erases_.push_back(id);
     return;
   }
@@ -245,30 +300,23 @@ void ViewTable::ApplyPendingErases() {
             std::greater<uint32_t>());
   for (uint32_t id : pending_erases_) EraseEntryNow(id);
   pending_erases_.clear();
+  pending_.clear();
 }
 
 void ViewTable::EraseEntryNow(uint32_t id) {
   {
-    const Entry& e = entries_[id];
+    const Value* ek = pages_.KeyOf(id);
     EraseSlotAt(SlotOf(id));
-    const Value* ek = EntryKey(e);
-    string_bytes_ -= StringHeapBytes(ek, arity_);
     for (Index& index : indexes_) {
       RemoveFromRow(&index, SubHash(index, ek), id);
     }
-    if (!inline_keys()) {
-      // Clear the block so string payloads release before reuse.
-      Value* block = arena_.data() + static_cast<size_t>(e.block) * arity_;
-      for (size_t i = 0; i < arity_; ++i) block[i] = Value();
-      free_blocks_.push_back(e.block);
-    }
   }
-  const uint32_t last = static_cast<uint32_t>(entries_.size()) - 1;
+  const uint32_t last = pages_.entries - 1;
   if (id != last) {
-    // Swap-move the last entry into the hole; its slot and index rows
-    // must point at the new id.
-    slots_[SlotOf(last)] = id;
-    const Value* lk = EntryKey(entries_[last]);
+    // The last entry moves into the hole; its slot and index rows must
+    // point at the new id.
+    SetSlot(SlotOf(last), id);
+    const Value* lk = pages_.KeyOf(last);
     for (Index& index : indexes_) {
       auto row = index.rows.find(SubHash(index, lk));
       RINGDB_CHECK(row != index.rows.end());
@@ -279,41 +327,52 @@ void ViewTable::EraseEntryNow(uint32_t id) {
         }
       }
     }
-    // Re-measure string capacities across the move: a move-assign into
-    // the hole's inline key may keep the hole's larger heap buffer (an
-    // SSO source cannot be stolen from, so the destination's allocation
-    // is reused), leaving the survivor with a different capacity than
-    // was accounted at its append. Arena keys never move, so the two
-    // terms cancel there.
-    string_bytes_ -= StringHeapBytes(lk, arity_);
-    entries_[id] = std::move(entries_[last]);
-    string_bytes_ += StringHeapBytes(EntryKey(entries_[id]), arity_);
   }
-  entries_.pop_back();
+  // Both pages are made writable before any record moves.
+  EntryHead* hole = MutableHead(id);
+  EntryHead* tail = MutableHead(last);
+  Value* hk = EntryKey(hole);
+  Value* tk = EntryKey(tail);
+  string_bytes_ -= StringHeapBytes(hk, arity_);
+  if (id != last) {
+    // Move-construct (not assign) the survivor's key, so it keeps the
+    // string buffers, and so the capacities, accounted for it.
+    *hole = *tail;
+    for (size_t i = 0; i < arity_; ++i) {
+      hk[i].~Value();
+      new (hk + i) Value(std::move(tk[i]));
+    }
+  }
+  for (size_t i = 0; i < arity_; ++i) tk[i].~Value();
+  ViewPage* page = pages_.entry_pages.back().get();
+  --page->used;
+  --pages_.entries;
+  if (page->used == 0) pages_.entry_pages.pop_back();
 }
 
 void ViewTable::EraseSlotAt(size_t slot) {
   // Tombstone-free backshift deletion: walk the probe chain after the
   // hole and move back every entry whose home position reaches the hole.
-  const size_t mask = slots_.size() - 1;
+  const size_t mask = pages_.slot_mask;
   size_t i = slot;
   size_t j = slot;
   while (true) {
     j = (j + 1) & mask;
-    if (slots_[j] == kEmptySlot) break;
-    const size_t home = entries_[slots_[j]].hash & mask;
+    const uint32_t id = pages_.Slot(j);
+    if (id == kEmptySlot) break;
+    const size_t home = pages_.Head(id)->hash & mask;
     if (((j - home) & mask) >= ((j - i) & mask)) {
-      slots_[i] = slots_[j];
+      SetSlot(i, id);
       i = j;
     }
   }
-  slots_[i] = kEmptySlot;
+  SetSlot(i, kEmptySlot);
 }
 
 size_t ViewTable::SlotOf(uint32_t id) const {
-  const size_t mask = slots_.size() - 1;
-  size_t s = entries_[id].hash & mask;
-  while (slots_[s] != id) s = (s + 1) & mask;
+  const size_t mask = pages_.slot_mask;
+  size_t s = pages_.Head(id)->hash & mask;
+  while (pages_.Slot(s) != id) s = (s + 1) & mask;
   return s;
 }
 
@@ -338,24 +397,40 @@ void ViewTable::RemoveFromRow(Index* index, uint64_t subhash, uint32_t id) {
 }
 
 void ViewTable::GrowSlots(size_t min_entries) {
-  size_t cap = slots_.empty() ? 16 : slots_.size();
+  const size_t old_slots = pages_.num_slots();
+  size_t cap = old_slots == 0 ? 16 : old_slots;
   while (min_entries * 4 > cap * 3) cap *= 2;
-  if (cap == slots_.size()) return;
-  slots_.assign(cap, kEmptySlot);
-  const size_t mask = cap - 1;
-  for (uint32_t id = 0; id < entries_.size(); ++id) {
-    size_t s = entries_[id].hash & mask;
-    while (slots_[s] != kEmptySlot) s = (s + 1) & mask;
-    slots_[s] = id;
+  if (cap == old_slots) return;
+  // Fresh pages throughout: the old ones may be shared with a freeze.
+  const size_t ids = std::min(cap, kSlotPageIds);
+  std::vector<PageRef> fresh;
+  fresh.reserve(cap / ids);
+  for (size_t p = 0; p < cap / ids; ++p) {
+    ViewPage* page =
+        ViewPage::New(ids * sizeof(uint32_t), ViewPage::kSlotPage, freeze_gen_);
+    std::memset(page->payload(), 0xff, ids * sizeof(uint32_t));
+    fresh.emplace_back(page);
+  }
+  pages_.slot_pages = std::move(fresh);
+  pages_.slot_mask = cap - 1;
+  for (uint32_t id = 0; id < pages_.entries; ++id) {
+    size_t s = pages_.Head(id)->hash & pages_.slot_mask;
+    while (pages_.Slot(s) != kEmptySlot) s = (s + 1) & pages_.slot_mask;
+    SetSlot(s, id);
   }
 }
 
+ViewPages ViewTable::Freeze() {
+  RINGDB_CHECK_EQ(iter_depth_, 0);
+  if (!pending_erases_.empty()) ApplyPendingErases();
+  ++freeze_gen_;
+  return pages_;
+}
+
 size_t ViewTable::ApproxBytes() const {
-  size_t bytes = slots_.capacity() * sizeof(uint32_t) +
-                 entries_.capacity() * sizeof(Entry) +
-                 arena_.capacity() * sizeof(Value) +
-                 (free_blocks_.capacity() + pending_erases_.capacity()) *
-                     sizeof(uint32_t) +
+  size_t bytes = pages_.PageBytes() +
+                 pending_erases_.capacity() * sizeof(uint32_t) +
+                 pending_.capacity() / 8 +
                  span_hash_scratch_.capacity() * sizeof(uint64_t) +
                  string_bytes_ + index_row_bytes_;
   // Bucket arrays rehash behind the map's back, so they are queried at
@@ -371,15 +446,13 @@ size_t ViewTable::ApproxBytes() const {
 }
 
 size_t ViewTable::ApproxBytesSlow() const {
-  size_t bytes = slots_.capacity() * sizeof(uint32_t) +
-                 entries_.capacity() * sizeof(Entry) +
-                 arena_.capacity() * sizeof(Value) +
-                 (free_blocks_.capacity() + pending_erases_.capacity()) *
-                     sizeof(uint32_t) +
+  size_t bytes = pages_.PageBytes() +
+                 pending_erases_.capacity() * sizeof(uint32_t) +
+                 pending_.capacity() / 8 +
                  span_hash_scratch_.capacity() * sizeof(uint64_t);
   // Heap payloads behind string key values (SSO strings cost nothing).
-  for (const Entry& e : entries_) {
-    bytes += StringHeapBytes(EntryKey(e), arity_);
+  for (uint32_t id = 0; id < pages_.entries; ++id) {
+    bytes += StringHeapBytes(pages_.KeyOf(id), arity_);
   }
   for (const Index& index : indexes_) {
     bytes += index.positions.capacity() * sizeof(size_t);
@@ -395,18 +468,16 @@ std::string ViewTable::ToString() const {
   std::ostringstream out;
   out << '{';
   bool first = true;
-  for (const Entry& e : entries_) {
-    if (e.pending_erase) continue;
+  ForEach([&](KeyView key, Numeric m) {
     if (!first) out << ", ";
     first = false;
     out << '[';
-    const Value* ek = EntryKey(e);
-    for (size_t i = 0; i < arity_; ++i) {
+    for (size_t i = 0; i < key.size(); ++i) {
       if (i) out << ", ";
-      out << ek[i].ToString();
+      out << key[i].ToString();
     }
-    out << "] -> " << e.value.ToString();
-  }
+    out << "] -> " << m.ToString();
+  });
   out << '}';
   return out.str();
 }

@@ -28,17 +28,17 @@ std::shared_ptr<const ResultSnapshot> ResultSnapshot::Build(
   snap->arity_ = snap->info_->group_vars.size();
   // Collect the per-shard FrozenViews. In the serving steady state each
   // shard froze its part when it finished its window (under the shard
-  // token), so this is pointer collection plus an O(shards) ring sum of
-  // precomputed totals; stale shards (recovery, publication gaps) are
-  // frozen here on the calling thread.
+  // token), so this is pointer collection; stale shards (recovery,
+  // publication gaps) are frozen here on the calling thread.
   snap->parts_ = engine.sharded().RootSubSnapshots();
   RINGDB_CRASH_POINT("snapshot_compose");
-  Numeric total = kZero;
-  for (const runtime::FrozenViewPtr& part : snap->parts_) {
-    total += part->total();
-  }
-  snap->scalar_ = total;
   return snap;
+}
+
+Numeric ResultSnapshot::scalar() const {
+  Numeric total = kZero;
+  for (const runtime::FrozenViewPtr& part : parts_) total += part->total();
+  return total;
 }
 
 void ResultSnapshot::EnsureMerged() const {
@@ -76,7 +76,7 @@ Numeric ResultSnapshot::AtRootKey(const Value* key, size_t n) const {
 
 Numeric ResultSnapshot::Get(const std::vector<Value>& group_values) const {
   RINGDB_CHECK_EQ(group_values.size(), arity_);
-  if (arity_ == 0) return scalar_;
+  if (arity_ == 0) return scalar();
   const std::vector<size_t>& order = info_->key_order;
   if (arity_ <= kInlineArity) {
     Value key[kInlineArity];

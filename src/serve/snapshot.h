@@ -7,13 +7,17 @@
 // (runtime::FrozenView, published by the shard that applied the window —
 // see ShardedExecutor::RootSubSnapshots). Composition replaces the old
 // merge-on-read barrier: building a snapshot collects one shared_ptr per
-// shard plus an O(shards) ring sum of precomputed totals — no global
-// scan, no quiesce beyond the batch boundary the caller already owns.
+// shard — no global scan, no quiesce beyond the batch boundary the caller
+// already owns. Each part cost its shard an O(pages) page-table copy
+// when it was frozen, and shares its pages with the live root until the
+// shard's next writes copy them; so end to end, a publication costs
+// O(shards + pages a window touched), never O(result).
 //
 // Reads against the composition:
-//  - scalar(): precomputed at build (sum of per-part totals).
+//  - scalar(): ring sum of the per-part totals; each part computes its
+//    total once, on the first read that needs it.
 //  - Get()/AtRootKey(): probe every part's frozen table and sum in the
-//    ring — O(shards) probes, each two cache lines.
+//    ring — O(shards) probes, each a slot page and an entry page.
 //  - ForEach()/ToGmr()/size(): need the cross-shard merge; a multi-part
 //    snapshot materializes the merged dense arrays lazily, once, behind
 //    a std::once_flag (keys whose shard contributions cancel to zero are
@@ -95,9 +99,9 @@ class ResultSnapshot {
   size_t num_parts() const { return parts_.size(); }
 
   // Scalar fast path: the root value for scalar queries; the Sum(.)
-  // collapse (total over all groups) otherwise. Precomputed from the
-  // per-part totals.
-  Numeric scalar() const { return scalar_; }
+  // collapse (total over all groups) otherwise. O(shards) once every
+  // part has its total (a scan of the part on its first such read).
+  Numeric scalar() const;
 
   // Point lookup, values given in group_vars order; 0 outside the
   // result (the gmr default).
@@ -138,7 +142,6 @@ class ResultSnapshot {
   uint64_t version_ = 0;
   uint64_t updates_applied_ = 0;
   size_t arity_ = 0;
-  Numeric scalar_ = kZero;
   std::vector<runtime::FrozenViewPtr> parts_;  // one per shard
   // Lazily merged scan arrays (multi-part only), built under
   // merged_once_: logically const, hence mutable.

@@ -358,6 +358,9 @@ TEST(MetricsExactnessTest, EngineExportersCarryCounters) {
   EXPECT_NE(json.find("\"num_shards\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"statements\": ["), std::string::npos);
   EXPECT_NE(json.find("\"approx_bytes\""), std::string::npos);
+  // A standalone engine never publishes, so it never copies a page.
+  EXPECT_NE(text.find("publish_pages_copied=0"), std::string::npos);
+  EXPECT_NE(json.find("\"publish_pages_copied\": 0,"), std::string::npos);
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 // ViewTable (runtime/view_table.h): default-zero lookups, cancellation
 // erasure, keep-zeros mode (lazy domains), incrementally maintained
-// partial-key slot-id indexes, deferred erasure under iteration, and the
-// hash/equality contract of Value keys.
+// partial-key slot-id indexes, deferred erasure under iteration, the
+// hash/equality contract of Value keys, and copy-on-write publication:
+// a FrozenView (runtime/frozen_view.h) never changes after its freeze,
+// and a freeze plus a small window copies pages in proportion to the
+// window, not the table.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "runtime/frozen_view.h"
 #include "runtime/view_table.h"
 #include "util/random.h"
 
@@ -178,8 +182,7 @@ TEST(ViewTableTest, RandomizedIndexConsistency) {
 
 TEST(ViewTableTest, RandomizedAgainstReferenceMap) {
   // Full behavioral check against a simple reference: At/size after a
-  // mixed stream of adds and cancellations, for inline (arity 2) and
-  // arena (arity 3) key storage.
+  // mixed stream of adds and cancellations, at arities 2 and 3.
   for (size_t arity : {size_t{2}, size_t{3}}) {
     ViewTable v(arity);
     std::map<std::vector<int64_t>, int64_t> ref;
@@ -216,9 +219,9 @@ TEST(ViewTableTest, RandomizedAgainstReferenceMap) {
   }
 }
 
-TEST(ViewTableTest, ArenaKeysSurviveChurnAndReuse) {
-  // Arity > 2 keys live in the per-view arena; erased blocks must be
-  // reused without corrupting survivors (string payloads included).
+TEST(ViewTableTest, WideKeysSurviveChurn) {
+  // Swap-erase moves arity-4 records (string payloads included) across
+  // page edges; survivors must come through intact.
   ViewTable v(4);
   int idx = v.EnsureIndex({0, 3});
   auto key = [](int64_t a, const std::string& s, int64_t c, int64_t d) {
@@ -233,7 +236,7 @@ TEST(ViewTableTest, ArenaKeysSurviveChurnAndReuse) {
     for (int i = 0; i < 40; i += 2) {
       v.Add(key(i % 4, "payload-string-well-past-sso-" + std::to_string(i),
                 round, i % 8),
-            Numeric(-1));  // cancel half, freeing arena blocks
+            Numeric(-1));  // cancel half, moving records into the holes
     }
   }
   size_t matches = 0;
@@ -347,9 +350,11 @@ TEST(ViewTableTest, ApproxBytesCountsStringPayloadAndIndexes) {
 
 // The incremental ApproxBytes accounting (a live gauge maintained at
 // insert/erase/index-churn sites) must equal the full recount walk at
-// every churn point — across string payloads (SSO and heap), arena
+// every churn point — across string payloads (SSO and heap), arity-3
 // keys, index registration over existing entries, cancellation erasure
-// (swap-move + row compaction), resurrection, and keep-zeros domains.
+// (swap-move + row compaction), resurrection, keep-zeros domains, and
+// pages copied on write after freezes (the copies' strings are
+// re-measured).
 // Debug builds also self-check inside ApproxBytes; this test pins the
 // property in release builds too.
 TEST(ViewTableTest, ApproxBytesIncrementalMatchesSlowWalkUnderChurn) {
@@ -370,12 +375,15 @@ TEST(ViewTableTest, ApproxBytesIncrementalMatchesSlowWalkUnderChurn) {
       while (k.size() < arity) k.push_back(Value(salt % 5));
       return k;
     };
+    std::vector<FrozenViewPtr> held;
     for (int i = 0; i < 3000; ++i) {
       v.Add(make_key(rng.Range(0, 400)), Numeric(rng.Range(-2, 2)));
       if (i % 257 == 0) {
         EXPECT_EQ(v.ApproxBytes(), v.ApproxBytesSlow()) << "churn step " << i;
       }
+      if (i % 97 == 0) held.push_back(FrozenView::Freeze(v));
     }
+    EXPECT_GT(v.pages_copied(), 0u);
     // A second index built over the existing population must be
     // accounted in one pass.
     v.EnsureIndex({1});
@@ -401,6 +409,173 @@ TEST(ViewTableTest, ApproxBytesIncrementalMatchesSlowWalkUnderChurn) {
              Numeric(i % 3 - 1));
   }
   EXPECT_EQ(lazy.ApproxBytes(), lazy.ApproxBytesSlow());
+}
+
+// The reference model: a key -> value map with the table's erasure rule
+// (keep_zeros tables keep cancelled keys at 0).
+using RefMap = std::map<Key, Numeric>;
+
+void RefAdd(RefMap* ref, const Key& key, Numeric delta, bool keep_zeros) {
+  if (delta.IsZero()) return;
+  Numeric& m = (*ref)[key];
+  m += delta;
+  if (m.IsZero() && !keep_zeros) ref->erase(key);
+}
+
+RefMap Scan(const FrozenView& view) {
+  RefMap out;
+  view.ForEach([&](KeyView k, Numeric m) {
+    EXPECT_TRUE(out.emplace(k.ToKey(), m).second) << "duplicate key";
+  });
+  return out;
+}
+
+RefMap Scan(const ViewTable& table) {
+  RefMap out;
+  table.ForEach([&](KeyView k, Numeric m) {
+    EXPECT_TRUE(out.emplace(k.ToKey(), m).second) << "duplicate key";
+  });
+  return out;
+}
+
+// Freeze contract: a FrozenView taken before N rounds of mutation still
+// equals the result recorded at its freeze, while the live table keeps
+// matching the reference. The rounds cover inserts, swap-erase across
+// page edges, slot growth past several slot pages, deferred erases
+// pending at the freeze, keep_zeros domains, string keys, and arity 0-3.
+TEST(ViewTableTest, FrozenViewsNeverChangeUnderMutation) {
+  for (size_t arity = 0; arity <= 3; ++arity) {
+    for (bool keep_zeros : {false, true}) {
+      SCOPED_TRACE("arity " + std::to_string(arity) +
+                   (keep_zeros ? " keep_zeros" : ""));
+      ViewTable v(arity);
+      if (keep_zeros) v.SetKeepZeros();
+      if (arity >= 2) v.EnsureIndex({1});
+      RefMap ref;
+      Rng rng(101 + arity * 2 + (keep_zeros ? 1 : 0));
+      auto make_key = [&](int64_t id) {
+        Key k;
+        for (size_t j = 0; j < arity; ++j) {
+          if (j == 1) {
+            k.push_back(Value("string-key-well-past-sso-" +
+                              std::to_string(id % 13)));
+          } else {
+            k.push_back(Value(id + static_cast<int64_t>(j)));
+          }
+        }
+        return k;
+      };
+      std::vector<std::pair<FrozenViewPtr, RefMap>> frozen;
+      for (int round = 0; round < 12; ++round) {
+        // Domain widens every round: slot growth happens after freezes.
+        const int64_t domain = 40 + 250 * round;
+        for (int i = 0; i < 600; ++i) {
+          const Key k = make_key(rng.Range(0, domain));
+          if (keep_zeros && i % 7 == 0) {
+            v.EnsureEntry(k, kZero);
+            ref.emplace(k, kZero);
+            continue;
+          }
+          const Numeric d(rng.Range(-2, 2));
+          v.Add(k, d);
+          RefAdd(&ref, k, d, keep_zeros);
+        }
+        // Cancel every third entry under iteration: the erases stay
+        // pending into the freeze below, which must apply them first.
+        size_t visited = 0;
+        v.ForEach([&](KeyView key, Numeric m) {
+          if (visited++ % 3 != 0 || m.IsZero()) return;
+          const Key k = key.ToKey();
+          v.Add(k, -m);
+          RefAdd(&ref, k, -m, keep_zeros);
+        });
+        ASSERT_EQ(Scan(v), ref) << "round " << round;
+        frozen.emplace_back(FrozenView::Freeze(v), ref);
+      }
+      EXPECT_EQ(v.size(), ref.size());
+      for (size_t r = 0; r < frozen.size(); ++r) {
+        const FrozenView& view = *frozen[r].first;
+        const RefMap& want = frozen[r].second;
+        EXPECT_EQ(view.size(), want.size()) << "freeze " << r;
+        EXPECT_EQ(Scan(view), want) << "freeze " << r;
+        Numeric total = kZero;
+        for (const auto& [k, m] : want) {
+          EXPECT_EQ(view.At(k.data(), k.size()), m) << "freeze " << r;
+          total += m;
+        }
+        EXPECT_EQ(view.total(), total) << "freeze " << r;
+        const Key absent = make_key(1000000);
+        if (arity > 0) EXPECT_EQ(view.At(absent.data(), arity), kZero);
+      }
+      for (const auto& [k, m] : ref) EXPECT_EQ(v.At(k), m);
+      EXPECT_EQ(v.ApproxBytes(), v.ApproxBytesSlow());
+    }
+  }
+}
+
+// Publication is O(delta): with a frozen copy held, a window touching
+// one key plus the next freeze copies at most a small constant number of
+// pages, at 10k and at 200k entries alike, and the frozen copy holds
+// only those pages apart from the live table.
+TEST(ViewTableTest, FreezeAfterOneKeyWindowCopiesConstantPages) {
+  // Arity-1 entry pages and slot pages are both 4 KiB of payload.
+  const size_t page_bytes = sizeof(ViewPage) + kPageEntries * EntryStride(1);
+  ASSERT_EQ(page_bytes, sizeof(ViewPage) + kSlotPageIds * sizeof(uint32_t));
+  for (int64_t n : {int64_t{10000}, int64_t{200000}}) {
+    SCOPED_TRACE("entries " + std::to_string(n));
+    ViewTable v(1);
+    for (int64_t i = 0; i < n; ++i) v.Add({Value(i)}, kOne);
+    const uint64_t before_freeze = v.pages_copied();
+    FrozenViewPtr held = FrozenView::Freeze(v);
+    EXPECT_EQ(v.pages_copied(), before_freeze);  // freezing copies nothing
+    // Freshly frozen, the copy shares every page: it holds only its
+    // page tables (copied vectors, capacity == size).
+    const size_t table_bytes =
+        (v.pages().entry_pages.size() + v.pages().slot_pages.size()) *
+        sizeof(PageRef);
+    EXPECT_EQ(held->ApproxBytesNotSharedWith(v), table_bytes);
+    // Three one-key windows, each published: update in place, insert a
+    // new key, cancel a key (swap-erase plus backshift).
+    const Key keys[] = {{Value(n / 2)}, {Value(n + 7)}, {Value(n / 3)}};
+    const Numeric deltas[] = {Numeric(5), kOne, Numeric(-1)};
+    for (int w = 0; w < 3; ++w) {
+      const uint64_t c0 = v.pages_copied();
+      v.Add(keys[w], deltas[w]);
+      const uint64_t copies = v.pages_copied() - c0;
+      EXPECT_GE(copies, 1u) << "window " << w;
+      EXPECT_LE(copies, 6u) << "window " << w;
+      FrozenViewPtr next = FrozenView::Freeze(v);
+      EXPECT_EQ(v.pages_copied(), c0 + copies);
+      // The previous copy holds the pages the window replaced, no more.
+      EXPECT_LE(held->ApproxBytesNotSharedWith(v),
+                table_bytes + sizeof(PageRef) + copies * page_bytes)
+          << "window " << w;
+      held = std::move(next);
+    }
+    EXPECT_EQ(held->At(keys[0].data(), 1), Numeric(6));
+    EXPECT_EQ(held->At(keys[1].data(), 1), kOne);
+    EXPECT_EQ(held->At(keys[2].data(), 1), kZero);
+    EXPECT_EQ(held->size(), static_cast<size_t>(n));
+  }
+}
+
+TEST(ViewTableTest, EmptyTablesAllocateNoPage) {
+  ViewTable v(2);
+  v.EnsureIndex({0});
+  v.Reserve(100000);
+  FrozenViewPtr frozen = FrozenView::Freeze(v);
+  EXPECT_TRUE(v.pages().entry_pages.empty());
+  EXPECT_TRUE(v.pages().slot_pages.empty());
+  EXPECT_EQ(frozen->size(), 0u);
+  EXPECT_EQ(frozen->total(), kZero);
+  const Key k{Value(1), Value(2)};
+  EXPECT_EQ(frozen->At(k.data(), 2), kZero);
+  // Cancelling the only entry releases its page again.
+  v.Add(k, kOne);
+  EXPECT_EQ(v.pages().entry_pages.size(), 1u);
+  v.Add(k, Numeric(-1));
+  EXPECT_TRUE(v.pages().entry_pages.empty());
+  EXPECT_EQ(v.ApproxBytes(), v.ApproxBytesSlow());
 }
 
 TEST(ViewTableTest, ToStringRendersEntries) {
